@@ -1,34 +1,29 @@
 """Codec hot-path scoreboard: per-format, per-op call cost, measured.
 
-PR-7 committed the scalar-path baseline this file used to produce (posit
-``to_bits`` at ~150-400 ns/element); the codec kernels
-(:mod:`repro.formats.kernels`) were built to beat it.  This benchmark now
-plays both roles:
+Regenerates ``benchmarks/results/codec_profile_baseline.json`` through the
+:mod:`repro.obs` profiler's real hook — the same format-class patching a
+traced serving engine uses — so the committed scoreboard tracks what the
+production codec paths cost: the LUT kernels (:mod:`repro.formats.kernels`)
+for ``bits <= 16``, the vectorized module functions above that.
 
-* regenerate ``benchmarks/results/codec_profile_baseline.json`` with the
-  kernels **on** (the shipping default), via the :mod:`repro.obs` profiler's
-  real hooks — the same patching a traced serving engine uses — so the
-  committed scoreboard tracks what production codepaths actually cost;
-* **gate** the kernels in-run: posit(8,1)/posit(16,1) per-element cost must
-  land within 5x of the fixed-point numpy floor on every op, and a
-  kernels-off re-measurement of the same formats must show ``to_bits`` at
-  least 10x slower — the acceptance criterion from the kernel issue.
+It also **gates** the kernels in-run: posit(8,1)/posit(16,1) per-element
+cost must land within 5x of the fixed-point numpy floor on every op, and
+the same formats' module-function oracle (:func:`repro.formats.
+reference_ops`, timed into a profiler the same way) must be at least 10x
+slower on ``to_bits``.
 """
+
+import time
 
 import numpy as np
 import pytest
 
-from repro.formats import (
-    available_formats,
-    kernel_info,
-    kernels_enabled,
-    set_kernels_enabled,
-)
+from repro.formats import available_formats, kernel_info, reference_ops
 from repro.obs import CodecProfiler
 
 #: Array size per profiled call — big enough that per-element cost
 #: dominates Python call + profiler overhead (which would otherwise tax the
-#: ~10 ns/elem kernel path far more than the ~150+ ns/elem scalar path),
+#: ~10 ns/elem kernel path far more than the ~150+ ns/elem oracle path),
 #: small enough to keep the sweep fast.
 ELEMENTS = 16384
 #: Repetitions per (format, op) so the ns figures average real work.
@@ -44,8 +39,8 @@ MIN_TO_BITS_SPEEDUP = 10.0
 def _profile_rows(formats, values):
     """Drive every format through the three codec ops under the profiler."""
     profiler = CodecProfiler()
-    # Warm-up outside the timed region: first contact builds the LUTs
-    # (posit(16,x) costs a few hundred ms once) and primes numpy caches.
+    # Warm-up outside the timed region: first contact builds the LUTs and
+    # primes numpy caches.
     for fmt in formats.values():
         fmt.from_bits(fmt.to_bits(values))
         fmt.quantize(values)
@@ -56,6 +51,32 @@ def _profile_rows(formats, values):
                 fmt.from_bits(bits)
                 fmt.quantize(values)
     snapshot = profiler.snapshot()
+    return profiler, snapshot, _rows(snapshot)
+
+
+def _reference_rows(formats, values):
+    """The same op sequence through each format's module-function oracle.
+
+    :func:`reference_ops` bypasses the patched format methods, so each
+    call is timed here and recorded into a profiler by hand.
+    """
+    profiler = CodecProfiler()
+    for spec, fmt in formats.items():
+        ref = reference_ops(fmt)
+        ref.from_bits(ref.to_bits(values))
+        ref.quantize(values)
+        for _ in range(REPEATS):
+            for op in ("to_bits", "from_bits", "quantize"):
+                arg = bits if op == "from_bits" else values
+                started = time.perf_counter_ns()
+                out = getattr(ref, op)(arg)
+                profiler.record(spec, op, time.perf_counter_ns() - started, arg.size)
+                if op == "to_bits":
+                    bits = out
+    return _rows(profiler.snapshot())
+
+
+def _rows(snapshot):
     rows = []
     for spec in sorted(snapshot["formats"]):
         for op, entry in sorted(snapshot["formats"][spec].items()):
@@ -67,7 +88,7 @@ def _profile_rows(formats, values):
                 "total_ns": entry["ns"],
                 "ns_per_element": entry["ns"] / entry["elements"],
             })
-    return profiler, snapshot, rows
+    return rows
 
 
 def _ns_per_element(rows):
@@ -75,7 +96,6 @@ def _ns_per_element(rows):
 
 
 def test_bench_codec_profile_baseline(benchmark, save_result, bench_rng):
-    assert kernels_enabled(), "benchmark must measure the shipping default"
     formats = {}
     for fmt in available_formats().values():
         formats.setdefault(fmt.spec(), fmt)
@@ -85,21 +105,16 @@ def test_bench_codec_profile_baseline(benchmark, save_result, bench_rng):
     table = profiler.format_table(snapshot)
     print("\n" + table)
 
-    # Kernels-off counter-measurement of the gated formats only (the full
-    # scalar sweep is what PR-7 committed; re-measuring two formats in-run
-    # is enough to prove the speedup without doubling the benchmark).
+    # Oracle counter-measurement of the gated formats only: two formats
+    # in-run are enough to prove the speedup without doubling the run.
     gated = {spec: formats[spec] for spec in GATED_FORMATS}
-    previous = set_kernels_enabled(False)
-    try:
-        _, _, scalar_rows = _profile_rows(gated, values)
-    finally:
-        set_kernels_enabled(previous)
+    reference_rows = _reference_rows(gated, values)
 
     kernel_ns = _ns_per_element(rows)
-    scalar_ns = _ns_per_element(scalar_rows)
+    reference_ns = _ns_per_element(reference_rows)
     speedups = {
-        f"{spec}:{op}": scalar_ns[(spec, op)] / kernel_ns[(spec, op)]
-        for spec, op in scalar_ns
+        f"{spec}:{op}": reference_ns[(spec, op)] / kernel_ns[(spec, op)]
+        for spec, op in reference_ns
     }
 
     # Timed region: one full codec round trip for the paper's headline
@@ -112,10 +127,9 @@ def test_bench_codec_profile_baseline(benchmark, save_result, bench_rng):
         "elements_per_call": ELEMENTS,
         "repeats": REPEATS,
         "formats_profiled": len(formats),
-        "codec_kernels": True,
         "table": table,
         "rows": rows,
-        "scalar_reference_rows": scalar_rows,
+        "reference_rows": reference_rows,
         "kernel_speedups": speedups,
         "kernels": kernel_info(list(formats.values())),
     })
@@ -149,12 +163,12 @@ def test_bench_codec_profile_baseline(benchmark, save_result, bench_rng):
                 f"budget {budget:.1f})"
             )
 
-    # Gate 2: the issue's acceptance criterion — >= 10x on to_bits for
-    # both gated formats against the scalar path measured in this run.
+    # Gate 2: >= 10x on to_bits for both gated formats against their
+    # module-function oracle measured in this run.
     for spec in GATED_FORMATS:
         ratio = speedups[f"{spec}:to_bits"]
         assert ratio >= MIN_TO_BITS_SPEEDUP, (
             f"{spec} to_bits speedup {ratio:.1f}x < {MIN_TO_BITS_SPEEDUP}x "
-            f"(scalar {scalar_ns[(spec, 'to_bits')]:.1f} ns/elem, kernel "
+            f"(oracle {reference_ns[(spec, 'to_bits')]:.1f} ns/elem, kernel "
             f"{kernel_ns[(spec, 'to_bits')]:.1f} ns/elem)"
         )

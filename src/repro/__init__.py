@@ -70,9 +70,8 @@ uniform :class:`~repro.formats.NumberFormat` values:
   (``RoleFormats.from_specs``, ``QuantizationPolicy.from_dict`` /
   ``to_dict`` / ``uniform_format``), and ``PositTrainer`` accepts preset
   names and policy dicts directly;
-* quantizers should come from the cached
-  :func:`repro.formats.get_quantizer` instead of being instantiated per
-  call site (the old constructors still work).
+* quantizers come from the cached :func:`repro.formats.get_quantizer`;
+  the per-family quantizer classes were removed.
 
 The legacy ``Format`` alias (and the ``repro.baselines.fixedpoint`` shim
 module) completed their deprecation window and were removed; annotate with
@@ -99,7 +98,6 @@ from .formats import (
 )
 from .posit import (
     PositConfig,
-    PositQuantizer,
     PositScalar,
     quantize,
     quantize_to_bits,
@@ -120,7 +118,6 @@ __all__ = [
     # posit substrate
     "PositConfig",
     "PositScalar",
-    "PositQuantizer",
     "quantize",
     "quantize_to_bits",
     # training methodology

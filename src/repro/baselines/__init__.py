@@ -6,12 +6,11 @@ baseline *recipes* — the policy builders that express each prior-work
 training scheme — plus compatibility re-exports of the fixed-point names.
 """
 
-from ..formats.fixedpoint import FixedPointFormat, FixedPointQuantizer, fixed_point_quantize
+from ..formats.fixedpoint import FixedPointFormat, fixed_point_quantize
 from .lowbit_float import fixed_point_policy, fp8_policy, fp16_policy, make_loss_scaler
 
 __all__ = [
     "FixedPointFormat",
-    "FixedPointQuantizer",
     "fixed_point_quantize",
     "fp16_policy",
     "fp8_policy",

@@ -41,7 +41,7 @@ from ..formats import NumberFormat, as_format, get_quantizer
 from ..nn import BatchNorm2d, Conv2d, Linear, Module
 from ..posit import FloatFormat, PositConfig
 from .scaling import ScaleEstimator
-from .transform import LayerQuantContext, Quantizer
+from .transform import LayerQuantContext
 
 __all__ = ["TensorFormat", "RoleFormats", "QuantizationPolicy"]
 
@@ -150,17 +150,6 @@ class RoleFormats:
             "error": _role_name(self.error),
             "weight_grad": _role_name(self.weight_grad),
         }
-
-
-def _make_quantizer(fmt: TensorFormat, rounding: str,
-                    rng: Optional[np.random.Generator]) -> Optional[Quantizer]:
-    """Instantiate the quantizer for a format descriptor.
-
-    .. deprecated:: thin wrapper around the cached
-       :func:`repro.formats.get_quantizer` factory, kept for callers of the
-       old private helper.
-    """
-    return get_quantizer(fmt, rounding=rounding, rng=rng)
 
 
 class QuantizationPolicy:

@@ -263,10 +263,7 @@ class LayerQuantContext:
             if quantizer is None:
                 return "fp32"
             fmt = getattr(quantizer, "format", None)
-            if fmt is not None and hasattr(fmt, "spec"):
-                return fmt.spec()
-            config = getattr(quantizer, "config", None) or getattr(quantizer, "fmt", None)
-            return str(config) if config is not None else type(quantizer).__name__
+            return fmt.spec() if fmt is not None else type(quantizer).__name__
 
         return {
             "name": self.name,

@@ -7,7 +7,7 @@ uniform surface:
 
 * :class:`NumberFormat` — the abstract interface every format implements:
   ``quantize(x, mode=...)``, ``to_bits``/``from_bits``, ``maxpos``/
-  ``minpos``/``bits``, ``name``, ``spec()``, and ``make_quantizer(...)``.
+  ``minpos``/``bits``, ``name``, and ``spec()``.
   :class:`~repro.posit.PositConfig` and :class:`~repro.posit.FloatFormat`
   are registered as virtual subclasses; :class:`FixedPointFormat` (promoted
   here from ``repro.baselines``) inherits directly.
@@ -16,33 +16,35 @@ uniform surface:
   :func:`available_formats`), so policies and experiment configs can be
   built from plain strings like ``"posit(8,1)"``, ``"fp8_e4m3"``,
   ``"fixed(16,13)"``, or ``"fp32"``.
-* the **cached quantizer factory** — :func:`get_quantizer` memoizes
-  quantizer instances per ``(format, rounding)`` key so the training hot
-  path stops re-instantiating them for every layer.
+* the **cached quantizer factory** — :func:`get_quantizer` memoizes one
+  :class:`FormatQuantizer` per ``(format, rounding)`` key so the training
+  hot path stops re-instantiating them for every layer.  A quantizer calls
+  its format's own codec methods, so there is one codec path per format.
 * the **codec kernels** — :mod:`repro.formats.kernels` precomputes decode
   LUTs and grid-snap encode tables for every registry format with
   ``bits <= 16`` and serves ``quantize``/``to_bits``/``from_bits`` as
-  whole-array numpy gathers, bit-identical to the scalar oracle.  On by
-  default; disable with ``REPRO_CODEC_KERNELS=0`` or
-  :func:`set_kernels_enabled`.
+  whole-array numpy gathers.  They are the only codec for those formats;
+  wider formats use their family's vectorized module functions.
+  :func:`reference_ops` exposes those module functions as the test oracle.
 """
 
 from .base import NumberFormat
-from .factory import clear_quantizer_cache, get_quantizer, quantizer_cache_info
+from .factory import (
+    FormatQuantizer,
+    clear_quantizer_cache,
+    get_quantizer,
+    quantizer_cache_info,
+)
 from .kernels import (
     KERNEL_MAX_BITS,
-    KernelQuantizer,
     active_kernel,
     clear_kernel_cache,
     get_kernel,
     kernel_info,
-    kernels_enabled,
     reference_ops,
-    set_kernels_enabled,
 )
 from .fixedpoint import (
     FixedPointFormat,
-    FixedPointQuantizer,
     fixed_point_from_bits,
     fixed_point_quantize,
     fixed_point_to_bits,
@@ -67,7 +69,6 @@ NumberFormat.register(_FloatFormat)
 __all__ = [
     "NumberFormat",
     "FixedPointFormat",
-    "FixedPointQuantizer",
     "fixed_point_quantize",
     "fixed_point_to_bits",
     "fixed_point_from_bits",
@@ -76,16 +77,14 @@ __all__ = [
     "as_format",
     "register_format",
     "available_formats",
+    "FormatQuantizer",
     "get_quantizer",
     "clear_quantizer_cache",
     "quantizer_cache_info",
     "KERNEL_MAX_BITS",
-    "KernelQuantizer",
     "active_kernel",
     "clear_kernel_cache",
     "get_kernel",
     "kernel_info",
-    "kernels_enabled",
     "reference_ops",
-    "set_kernels_enabled",
 ]

@@ -20,9 +20,12 @@ and the hardware accounting can treat "a format" as one opaque value:
 ``spec()``
     Canonical spec string that round-trips through
     :func:`~repro.formats.parse_format` (``parse_format(fmt.spec()) == fmt``).
-``make_quantizer(rounding=..., rng=...)``
-    Build a reusable callable quantizer bound to this format; prefer the
-    cached :func:`~repro.formats.get_quantizer` in hot paths.
+
+A reusable callable bound to one rounding mode comes from the cached
+:func:`~repro.formats.get_quantizer`, which calls these methods; formats
+with ``bits <= 16`` serve them from the LUT codec kernels
+(:mod:`repro.formats.kernels`), wider ones from their family's vectorized
+module functions.
 
 ``PositConfig`` and ``FloatFormat`` predate this interface and are attached
 as *virtual* subclasses (``NumberFormat.register``) to keep the dependency
@@ -71,11 +74,6 @@ class NumberFormat(ABC):
     @abstractmethod
     def from_bits(self, bits) -> np.ndarray:
         """Decode storage bit patterns back to real values."""
-
-    @abstractmethod
-    def make_quantizer(self, rounding: str = "nearest",
-                       rng: Optional[np.random.Generator] = None):
-        """Build a callable quantizer bound to this format and rounding mode."""
 
     @property
     @abstractmethod

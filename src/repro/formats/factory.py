@@ -6,6 +6,11 @@ instances for a ResNet, re-created again for every sweep point.  This
 factory memoizes one instance per ``(format, rounding)`` pair; formats are
 frozen (hashable) dataclasses, so they key the cache directly.
 
+Every quantizer is a :class:`FormatQuantizer`: the format's own
+``quantize`` / ``to_bits`` / ``from_bits`` methods bound to one rounding
+mode, so a quantizer call takes exactly the codec path (and the profiler
+hook) that a direct format-method call takes.
+
 Calls that carry an explicit random generator (seeded stochastic rounding)
 bypass the cache: a shared generator across layers would entangle their
 random streams, which is exactly what a caller passing ``rng`` is trying to
@@ -14,55 +19,72 @@ control.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .base import NumberFormat
+from .kernels import reference_ops
 from .registry import parse_format
 
-__all__ = ["get_quantizer", "clear_quantizer_cache", "quantizer_cache_info"]
+__all__ = ["FormatQuantizer", "get_quantizer", "clear_quantizer_cache",
+           "quantizer_cache_info"]
 
-#: (format, rounding, kernels_enabled) -> quantizer instance.  The kernel
-#: flag participates in the key so toggling ``REPRO_CODEC_KERNELS`` (or
-#: :func:`repro.formats.kernels.set_kernels_enabled`) never serves a stale
-#: quantizer built for the other path.
-_QUANTIZER_CACHE: dict[tuple, Callable] = {}
+#: (format, rounding) -> quantizer instance.
+_QUANTIZER_CACHE: dict[tuple, "FormatQuantizer"] = {}
+
+
+class FormatQuantizer:
+    """A format's codec methods bound to one rounding mode and generator.
+
+    ``rounding`` keeps the requested mode verbatim; each format family maps
+    it onto what it supports (float and fixed point treat ``"zero"`` as
+    round-to-nearest).
+    """
+
+    __slots__ = ("format", "rounding", "rng")
+
+    def __init__(self, fmt: NumberFormat, rounding: str,
+                 rng: Optional[np.random.Generator] = None):
+        self.format = fmt
+        self.rounding = rounding
+        self.rng = rng
+
+    def __call__(self, x) -> np.ndarray:
+        """Quantize ``x`` onto the bound format's grid."""
+        return self.format.quantize(x, self.rounding, self.rng)
+
+    def to_bits(self, x) -> np.ndarray:
+        """Quantize ``x`` and return storage bit patterns (``int64``)."""
+        return self.format.to_bits(x, self.rounding, self.rng)
+
+    def from_bits(self, bits) -> np.ndarray:
+        """Decode storage bit patterns back to real values."""
+        return self.format.from_bits(bits)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"FormatQuantizer({self.format.spec()}, rounding={self.rounding!r})"
 
 
 def _build(fmt: NumberFormat, rounding: str,
-           rng: Optional[np.random.Generator]) -> Callable:
-    maker = getattr(fmt, "make_quantizer", None)
-    if maker is None:
-        raise TypeError(
-            f"unsupported format descriptor: {fmt!r} (no make_quantizer hook)"
-        )
-    # Every quantizer leaves the factory wrapped for the codec profiler
-    # (repro.obs.profiler).  The proxy is cached like the bare quantizer
-    # would be — identity and attribute semantics are unchanged — and
-    # while profiling is off it costs one flag check per call.
-    from repro.obs.profiler import wrap_quantizer
-
-    from .kernels import KernelQuantizer, active_kernel
-
-    # LUT-kernel fast path for narrow formats.  A mode the kernel cannot
-    # serve (e.g. an invalid posit rounding string) falls through to the
-    # family's own maker, which keeps its exact error behaviour.
-    kernel = active_kernel(fmt, rounding)
-    if kernel is not None:
-        return wrap_quantizer(KernelQuantizer(kernel, rounding, rng), fmt)
-    return wrap_quantizer(maker(rounding=rounding, rng=rng), fmt)
+           rng: Optional[np.random.Generator]) -> FormatQuantizer:
+    if not isinstance(fmt, NumberFormat):
+        raise TypeError(f"unsupported format descriptor: {fmt!r} (not a NumberFormat)")
+    ref = reference_ops(fmt)
+    if ref is not None and ref.map_mode(rounding) is None:
+        raise ValueError(f"unknown rounding mode {rounding!r} for {fmt.spec()}")
+    return FormatQuantizer(fmt, rounding, rng)
 
 
 def get_quantizer(fmt: Union[NumberFormat, str, None], rounding: str = "zero",
-                  rng: Optional[np.random.Generator] = None) -> Optional[Callable]:
+                  rng: Optional[np.random.Generator] = None) -> Optional[FormatQuantizer]:
     """Return a quantizer for ``fmt``, memoized per ``(format, rounding)``.
 
     ``fmt`` may be a :class:`NumberFormat`, a spec string (resolved through
     the registry), or ``None`` (meaning "no quantization" — returns ``None``,
-    mirroring the policy layer's FP32 convention).  Each format family maps
-    the requested rounding mode onto what it supports (e.g. floats treat
-    ``"zero"`` as round-to-nearest), exactly as the policy layer always did.
+    mirroring the policy layer's FP32 convention).  A rounding mode the
+    format family does not know raises ``ValueError`` here, not on the
+    first call.
     """
     if fmt is None:
         return None
@@ -70,9 +92,7 @@ def get_quantizer(fmt: Union[NumberFormat, str, None], rounding: str = "zero",
         fmt = parse_format(fmt)
     if rng is not None:
         return _build(fmt, rounding, rng)
-    from .kernels import kernels_enabled
-
-    key = (fmt, rounding, kernels_enabled())
+    key = (fmt, rounding)
     quantizer = _QUANTIZER_CACHE.get(key)
     if quantizer is None:
         quantizer = _build(fmt, rounding, None)
@@ -89,5 +109,5 @@ def quantizer_cache_info() -> dict:
     """Introspection: cache size and the currently cached keys."""
     return {
         "size": len(_QUANTIZER_CACHE),
-        "keys": [(fmt.spec(), rounding) for fmt, rounding, _ in _QUANTIZER_CACHE],
+        "keys": [(fmt.spec(), rounding) for fmt, rounding in _QUANTIZER_CACHE],
     }

@@ -28,7 +28,6 @@ from .base import NumberFormat
 
 __all__ = [
     "FixedPointFormat",
-    "FixedPointQuantizer",
     "fixed_point_quantize",
     "fixed_point_to_bits",
     "fixed_point_from_bits",
@@ -110,9 +109,9 @@ class FixedPointFormat(NumberFormat):
     def from_bits(self, bits) -> np.ndarray:
         """Decode two's-complement codes back to real values.
 
-        Dispatches to the decode LUT (:mod:`repro.formats.kernels`) when
-        enabled; the encode side is already pure numpy arithmetic at the
-        floor the kernels are measured against, so it stays as-is.
+        Served by the decode LUT (:mod:`repro.formats.kernels`) for words
+        of up to 16 bits; the encode side is already pure numpy arithmetic
+        at the floor the kernels are measured against, so it stays as-is.
         """
         from .kernels import active_kernel
 
@@ -121,21 +120,17 @@ class FixedPointFormat(NumberFormat):
             return kernel.from_bits(bits)
         return fixed_point_from_bits(bits, self)
 
-    def make_quantizer(self, rounding: str = "nearest",
-                       rng: Optional[np.random.Generator] = None) -> "FixedPointQuantizer":
-        """Build a quantizer for this format (hook used by QuantizationPolicy)."""
-        mode = "stochastic" if rounding == "stochastic" else "nearest"
-        return FixedPointQuantizer(self, rounding=mode, rng=rng)
-
 
 def fixed_point_quantize(x, fmt: FixedPointFormat, rounding: str = "nearest",
                          rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Snap ``x`` onto the fixed-point grid of ``fmt`` with saturation.
 
     ``rounding`` is ``"nearest"`` (round half away from zero, the common
-    hardware choice) or ``"stochastic"`` (Gupta et al.'s method).
+    hardware choice) or ``"stochastic"`` (Gupta et al.'s method).  Inputs
+    are clipped to ``[min_value, max_value]`` before scaling, so ``±inf``
+    and huge magnitudes saturate without overflow; NaN stays NaN.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = np.clip(np.asarray(x, dtype=np.float64), fmt.min_value, fmt.max_value)
     scaled = arr / fmt.step
     if rounding == "nearest":
         quantized = np.round(scaled)
@@ -146,8 +141,8 @@ def fixed_point_quantize(x, fmt: FixedPointFormat, rounding: str = "nearest",
         quantized = lower + (rng.random(arr.shape) < (scaled - lower))
     else:
         raise ValueError(f"unknown rounding mode {rounding!r}")
-    values = quantized * fmt.step
-    return np.clip(values, fmt.min_value, fmt.max_value)
+    # Both clip bounds lie on the grid, so rounding stays within them.
+    return quantized * fmt.step
 
 
 def fixed_point_to_bits(x, fmt: FixedPointFormat, rounding: str = "nearest",
@@ -156,10 +151,12 @@ def fixed_point_to_bits(x, fmt: FixedPointFormat, rounding: str = "nearest",
 
     The returned array has dtype ``int64``; each element lies in
     ``[0, 2**bits)``.  ``fmt.max_value`` maps to ``2**(bits-1) - 1`` and
-    ``fmt.min_value`` to ``2**(bits-1)`` (the most negative code).
+    ``fmt.min_value`` to ``2**(bits-1)`` (the most negative code).  The
+    format has no NaN code: NaN stores as code 0.
     """
     values = fixed_point_quantize(x, fmt, rounding=rounding, rng=rng)
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    arr = np.where(np.isnan(arr), 0.0, arr)
     codes = np.rint(arr / fmt.step).astype(np.int64)
     mask = (np.int64(1) << fmt.bits) - 1
     bits = codes & mask
@@ -175,29 +172,3 @@ def fixed_point_from_bits(bits, fmt: FixedPointFormat) -> np.ndarray:
     signed = np.where(arr >= sign_bit, arr - (np.int64(1) << fmt.bits), arr)
     values = signed.astype(np.float64) * fmt.step
     return values[0] if np.asarray(bits).ndim == 0 else values
-
-
-class FixedPointQuantizer:
-    """Callable wrapper around :func:`fixed_point_quantize`."""
-
-    def __init__(self, fmt: FixedPointFormat, rounding: str = "nearest",
-                 rng: Optional[np.random.Generator] = None):
-        self.fmt = fmt
-        self.rounding = rounding
-        self.rng = rng
-
-    @property
-    def format(self) -> FixedPointFormat:
-        """The bound format (uniform accessor across quantizer families)."""
-        return self.fmt
-
-    def __call__(self, x) -> np.ndarray:
-        """Quantize ``x`` to the bound fixed-point format."""
-        return fixed_point_quantize(x, self.fmt, rounding=self.rounding, rng=self.rng)
-
-    def to_bits(self, x) -> np.ndarray:
-        """Quantize ``x`` and return bit patterns instead of values."""
-        return fixed_point_to_bits(x, self.fmt, rounding=self.rounding, rng=self.rng)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FixedPointQuantizer({self.fmt}, rounding={self.rounding!r})"

@@ -1,15 +1,14 @@
 """Vectorized LUT codec kernels for every registry format with ``bits <= 16``.
 
-The PR-7 profiler baseline (``benchmarks/results/codec_profile_baseline.json``)
-measured posit ``to_bits`` at ~150-400 ns/element — roughly 50x off the
-~5-16 ns/element numpy floor the fixed-point family hits — and the ROADMAP
-names the codec the hot loop under every workload: training steps, artifact
-save/load, and every serving request.  This module closes that gap with
-precomputed tables:
+These kernels are the only production codec for narrow formats: the format
+classes' ``quantize`` / ``to_bits`` / ``from_bits`` methods dispatch here
+whenever a kernel exists for the format and supports the requested rounding
+mode, and every quantizer handed out by :func:`repro.formats.get_quantizer`
+calls those methods.  Wider formats (fp32, posit(32,x)) use their family's
+vectorized module functions.  Each kernel is built from precomputed tables:
 
-* **decode LUT** — all ``2**bits`` codes decoded once (posit formats use the
-  scalar reference :func:`repro.posit.scalar.decode`, the ground truth the
-  vectorized path is validated against), so ``from_bits`` becomes a single
+* **decode LUT** — all ``2**bits`` codes decoded once through the family's
+  vectorized ``from_bits`` function, so ``from_bits`` becomes a single
   masked gather.
 * **encode tables** — the strictly positive representable values form one
   monotone "code line" shared by posit and float formats (line index 0 is
@@ -17,38 +16,31 @@ precomputed tables:
   per-binade row, and each row stores ``1/step`` (a power of two, so the
   multiply is exact) and an index offset such that
   ``floor(mag / step) + offset`` *is* the round-toward-zero line index.
-  ``np.searchsorted`` is used only at build time — at ~55-136 ns/element in
-  this container it would alone blow the per-element budget.
+  ``np.searchsorted`` is used only at build time: its binary search costs
+  several times the whole per-element budget.
 * **rounding tables** — round-to-nearest folds the tie-to-even rule into a
-  per-interval threshold (probed from the scalar oracle, so ties behave
-  bit-for-bit identically), and stochastic rounding reuses the oracle's own
+  per-interval threshold (probed from the module functions, so ties behave
+  bit-for-bit identically), and stochastic rounding reuses their own
   ``(mag - lo) / (hi - lo)`` probability expression via a gap table.
 * **sign/storage LUTs** — the final code/value is one gather from a
   ``2 * L``-entry table indexed by ``line_index + L * signbit``, built by
-  running the *oracle* ``to_bits`` over ``±line_vals`` — two's-complement
+  running the module ``to_bits`` over ``±line_vals`` — two's-complement
   posit negatives, IEEE sign bits, and canonical-zero encoding all come out
   of the probe rather than being re-implemented (and re-diverged) here.
 
-Special values (NaN, ±inf, exact ±0) are likewise probed from the oracle per
-family and patched via masks; the all-finite fast path pays one
-``isfinite().all()`` check.
+Special values (NaN, ±inf, exact ±0) are likewise probed per family and
+patched via masks; the all-finite fast path pays one ``isfinite().all()``
+check.
 
-The kernels are wired in two places: the format classes' protocol methods
-(``quantize`` / ``to_bits`` / ``from_bits`` dispatch here when enabled, which
-covers the artifact weight codec and the serving decoded-weight cache without
-touching that code) and the quantizer factory (:func:`repro.formats.
-get_quantizer` hands out :class:`KernelQuantizer` instances).  The
-``REPRO_CODEC_KERNELS`` environment variable (on by default; ``0``/``false``/
-``off``/``no`` disable) selects the path, and the scalar/vectorized module
-functions remain untouched as the conformance oracle —
-``tests/formats/test_kernel_differential.py`` proves bit-identity against
-them for every supported format and rounding mode.
+:func:`reference_ops` binds the module functions directly and stays the
+test oracle: ``tests/formats/test_kernel_differential.py`` proves the
+kernels bit-identical to it for every supported format and rounding mode,
+and checks posit decoding against the scalar :func:`repro.posit.scalar.decode`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from typing import Callable, Optional
 
@@ -60,26 +52,18 @@ from .fixedpoint import FixedPointFormat
 
 __all__ = [
     "KERNEL_MAX_BITS",
-    "KernelQuantizer",
     "active_kernel",
     "clear_kernel_cache",
     "get_kernel",
     "kernel_info",
     "kernels_enabled",
     "reference_ops",
-    "set_kernels_enabled",
 ]
 
 #: Kernels are built for formats up to this storage width: a full decode LUT
 #: is at most 2**16 float64 entries (512 KiB) and the encode-side tables are
 #: of the same order, so the whole registry costs a few MiB.
 KERNEL_MAX_BITS = 16
-
-#: Environment switch; anything except these (case-insensitive) enables.
-_FALSY = frozenset({"0", "false", "off", "no"})
-
-#: Runtime override for tests/benchmarks: None defers to the environment.
-_ENABLED_OVERRIDE: Optional[bool] = None
 
 #: format -> kernel instance (or None for unsupported formats).
 _KERNEL_CACHE: dict = {}
@@ -97,18 +81,12 @@ class _KernelUnsupported(Exception):
 
 
 def kernels_enabled() -> bool:
-    """Whether codec kernels are active (override, else ``REPRO_CODEC_KERNELS``)."""
-    if _ENABLED_OVERRIDE is not None:
-        return _ENABLED_OVERRIDE
-    return os.environ.get("REPRO_CODEC_KERNELS", "1").strip().lower() not in _FALSY
+    """Always ``True``: the kernels are the only narrow-format codec path.
 
-
-def set_kernels_enabled(value: Optional[bool]) -> Optional[bool]:
-    """Override the environment switch (``None`` restores it); returns the old override."""
-    global _ENABLED_OVERRIDE
-    previous = _ENABLED_OVERRIDE
-    _ENABLED_OVERRIDE = value
-    return previous
+    Kept so callers that record the codec configuration next to their
+    measurements (``perfbench/host.py``) keep working.
+    """
+    return True
 
 
 def clear_kernel_cache() -> None:
@@ -118,10 +96,10 @@ def clear_kernel_cache() -> None:
 
 
 class _ReferenceOps:
-    """The scalar-path oracle for one format: module-level functions only.
+    """The module-function oracle for one format.
 
-    These callables never go through the format methods (which may dispatch
-    back into the kernels), so they are safe to use from kernel builds and
+    These callables never go through the format methods (which dispatch
+    into the kernels), so they are safe to use from kernel builds and
     from the differential conformance harness as the ground truth.
     """
 
@@ -139,12 +117,11 @@ class _ReferenceOps:
 def reference_ops(fmt) -> Optional[_ReferenceOps]:
     """Oracle ``quantize``/``to_bits``/``from_bits`` for ``fmt`` (or ``None``).
 
-    ``map_mode`` mirrors each family's historical mode handling: posit
-    supports ``zero``/``nearest``/``stochastic`` natively (anything else
-    returns ``None`` — the caller falls back to the scalar path, which
-    raises the canonical error); float and fixed point map every
-    non-stochastic mode to ``nearest``, exactly as their format methods
-    always did.
+    ``map_mode`` mirrors each family's mode handling: posit supports
+    ``zero``/``nearest``/``stochastic`` natively (anything else returns
+    ``None`` — the caller falls back to the module function, which raises
+    the canonical error); float and fixed point map every non-stochastic
+    mode to ``nearest``.
     """
     if isinstance(fmt, PositConfig):
         # The package re-exports the quantize *function*, so import the
@@ -195,28 +172,7 @@ def reference_ops(fmt) -> Optional[_ReferenceOps]:
     return None
 
 
-def _posit_decode_lut(fmt: PositConfig) -> np.ndarray:
-    """All ``2**n`` codes decoded via the scalar reference implementation.
-
-    Only the positive bodies are walked scalar-by-scalar; negative patterns
-    are their exact two's-complement mirrors (``decode((-c) & mask) ==
-    -decode(c)``), which halves the one-time build cost for 16-bit formats.
-    """
-    from ..posit import scalar as _scalar
-
-    half = 1 << (fmt.n - 1)
-    lut = np.zeros(1 << fmt.n, dtype=np.float64)
-    positive = np.array([_scalar.decode(code, fmt) for code in range(1, half)],
-                        dtype=np.float64)
-    lut[1:half] = positive
-    lut[half] = np.nan  # NaR
-    lut[half + 1:] = -positive[::-1]
-    return lut
-
-
 def _build_decode_lut(fmt, ref: _ReferenceOps) -> np.ndarray:
-    if isinstance(fmt, PositConfig):
-        return _posit_decode_lut(fmt)
     codes = np.arange(1 << fmt.bits, dtype=np.int64)
     return np.asarray(ref.from_bits(codes), dtype=np.float64)
 
@@ -454,24 +410,18 @@ class _FixedKernel:
     The fixed-point encode side is already pure numpy arithmetic at the
     floor the benchmark gate measures against, and its two's-complement code
     space is asymmetric (``-2**I`` has no positive twin), so only
-    ``from_bits`` gains a table; ``quantize``/``to_bits`` delegate to the
-    module oracle unchanged.
+    ``from_bits`` gains a table; :class:`FixedPointFormat` encodes with its
+    module functions.
     """
 
     def __init__(self, fmt: FixedPointFormat, ref: _ReferenceOps):
         self.fmt = fmt
-        self._ref = ref
         self._mask = (np.int64(1) << fmt.bits) - 1
         self._decode_lut = _build_decode_lut(fmt, ref)
 
     def supports(self, mode: str) -> bool:
-        return self._ref.map_mode(mode) is not None
-
-    def quantize(self, x, mode: str, rng: Optional[np.random.Generator] = None):
-        return self._ref.quantize(x, mode, rng)
-
-    def to_bits(self, x, mode: str, rng: Optional[np.random.Generator] = None):
-        return self._ref.to_bits(x, mode, rng)
+        """No rounding mode: this kernel only decodes."""
+        return False
 
     def from_bits(self, bits):
         arr = np.asarray(bits, dtype=np.int64)
@@ -513,9 +463,7 @@ def get_kernel(fmt):
 
     Unsupported formats — ``bits > 16``, unknown families, or formats whose
     value grid violates the table assumptions — cache ``None`` and keep the
-    scalar path.  This does *not* consult :func:`kernels_enabled`: the
-    differential harness compares kernels against the oracle regardless of
-    how dispatch is switched.
+    vectorized module functions.
     """
     kernel = _KERNEL_CACHE.get(fmt, False)
     if kernel is not False:
@@ -529,9 +477,7 @@ def get_kernel(fmt):
 
 
 def active_kernel(fmt, mode: Optional[str] = None):
-    """Kernel to dispatch to right now, or ``None`` for the scalar path."""
-    if not kernels_enabled():
-        return None
+    """The kernel for ``fmt`` if it serves ``mode``, else ``None``."""
     kernel = get_kernel(fmt)
     if kernel is None or (mode is not None and not kernel.supports(mode)):
         return None
@@ -561,44 +507,3 @@ def kernel_info(formats=None) -> list:
         else:
             rows.append(kernel.info())
     return rows
-
-
-class KernelQuantizer:
-    """Factory-facing callable bound to a kernel and rounding mode.
-
-    Mirrors the attribute surface of the per-family quantizers
-    (``format``/``rounding``/``rng``/``to_bits``/``from_bits``) so the
-    policy layer, the analysis tooling, and the profiler proxy treat it
-    interchangeably.  ``rounding`` keeps the *requested* mode verbatim; the
-    kernel applies the family's historical mapping at call time.
-    """
-
-    __slots__ = ("kernel", "rounding", "rng")
-
-    def __init__(self, kernel, rounding: str,
-                 rng: Optional[np.random.Generator] = None):
-        self.kernel = kernel
-        self.rounding = rounding
-        self.rng = rng
-
-    @property
-    def format(self):
-        """The bound format (uniform accessor across quantizer families)."""
-        return self.kernel.fmt
-
-    @property
-    def config(self):
-        """Alias kept for parity with ``PositQuantizer.config`` consumers."""
-        return self.kernel.fmt
-
-    def __call__(self, x) -> np.ndarray:
-        return self.kernel.quantize(x, self.rounding, self.rng)
-
-    def to_bits(self, x) -> np.ndarray:
-        return self.kernel.to_bits(x, self.rounding, self.rng)
-
-    def from_bits(self, bits) -> np.ndarray:
-        return self.kernel.from_bits(bits)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"KernelQuantizer({self.kernel.fmt.spec()}, rounding={self.rounding!r})"

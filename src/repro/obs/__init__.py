@@ -18,9 +18,9 @@ Three layers, usable independently:
 * :mod:`repro.obs.profiler` — the codec hot-path profiler: per-format,
   per-op (``quantize`` / ``to_bits`` / ``from_bits``) call counts, element
   counts, and cumulative nanoseconds, collected by instrumenting the
-  format classes and the quantizer factory's cached callables.  Its
-  :func:`~repro.obs.profiler.format_table` is the measured baseline the
-  ROADMAP's vectorized/LUT kernel rewrite will be judged against.
+  format classes' codec methods, which every quantizer calls.  Its
+  :func:`~repro.obs.profiler.format_table` is the per-format codec
+  scoreboard.
 * :mod:`repro.obs.export` — exporters: spans serialize to JSONL (one span
   per line, the ``repro trace`` CLI's interchange format) and to the
   Chrome trace-event format, which loads directly in Perfetto /

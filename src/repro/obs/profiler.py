@@ -1,24 +1,13 @@
 """Codec hot-path profiler: per-format, per-op call counts and time.
 
-The ROADMAP's top open item — vectorized/LUT codec kernels — needs a
-measured baseline: for each number format, how many times do we call
-``quantize`` / ``to_bits`` / ``from_bits`` and how many nanoseconds do
-they cost?  This module collects exactly that, from two hook points:
-
-* the **quantizer factory** (:func:`repro.formats.get_quantizer`) wraps
-  every quantizer it hands out in a cached :class:`_ProfiledQuantizer`
-  proxy — identity semantics are preserved (same ``(format, rounding)``
-  → the *same* proxy object, attribute access delegates), so the policy
-  layer's memoization contract is untouched and the proxy costs one flag
-  check per call while profiling is off;
-* :meth:`CodecProfiler.enable` additionally patches the ``quantize`` /
-  ``to_bits`` / ``from_bits`` methods of the concrete format classes
-  (posit, float, fixed-point), which is what catches the artifact
-  save/load weight codec (``fmt.to_bits(...)`` / ``fmt.from_bits(...)``)
-  without touching the artifact code.
-
-The two hooks never double-count: the quantizer objects call the
-module-level kernels directly, not the format methods.
+For each number format, how many times do we call ``quantize`` /
+``to_bits`` / ``from_bits`` and how many nanoseconds do they cost?  While
+enabled, :class:`CodecProfiler` patches those three methods on the concrete
+format classes (posit, float, fixed point).  That one hook sees every codec
+call: the quantizers from :func:`repro.formats.get_quantizer` call the
+format methods, and so do the artifact save/load weight codec and the
+serving engine.  Each call is counted exactly once, including calls made
+through quantizers that were built before profiling started.
 
 ``enable``/``disable`` are refcounted so nested scopes (a traced engine
 inside a profiled benchmark) compose; stats survive disable until
@@ -190,43 +179,6 @@ def _profiled_method(prof: CodecProfiler, op: str, original):
     wrapper.__doc__ = getattr(original, "__doc__", None)
     wrapper.__wrapped__ = original
     return wrapper
-
-
-class _ProfiledQuantizer:
-    """Transparent callable proxy accounting ``quantize`` calls.
-
-    Cached by the factory exactly like the bare quantizer it wraps, so
-    ``get_quantizer(f, r) is get_quantizer(f, r)`` still holds; every
-    other attribute (``rng``, ``format``, ``rounding``, ...) delegates.
-    """
-
-    __slots__ = ("_inner", "_spec")
-
-    def __init__(self, inner, spec: str) -> None:
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "_spec", spec)
-
-    def __call__(self, values, *args, **kwargs):
-        prof = profiler
-        if not prof.active:
-            return self._inner(values, *args, **kwargs)
-        t0 = time.perf_counter_ns()
-        out = self._inner(values, *args, **kwargs)
-        ns = time.perf_counter_ns() - t0
-        prof.record(self._spec, "quantize", ns, int(np.size(values)))
-        return out
-
-    def __getattr__(self, name):
-        return getattr(object.__getattribute__(self, "_inner"), name)
-
-    def __repr__(self) -> str:
-        return f"profiled({self._inner!r})"
-
-
-def wrap_quantizer(quantizer, fmt) -> _ProfiledQuantizer:
-    """Factory hook: wrap a freshly built quantizer for accounting."""
-
-    return _ProfiledQuantizer(quantizer, fmt.spec())
 
 
 #: Process-wide profiler instance; the module-level helpers below and the

@@ -29,14 +29,12 @@ from .floatformats import (
     FP16,
     FP32,
     FloatFormat,
-    FloatQuantizer,
     float_from_bits,
     float_quantize,
     float_to_bits,
 )
 from .quantize import (
     ROUNDING_MODES,
-    PositQuantizer,
     bits_to_float,
     quantize,
     quantize_to_bits,
@@ -91,7 +89,6 @@ __all__ = [
     "quantize",
     "quantize_to_bits",
     "bits_to_float",
-    "PositQuantizer",
     # quire
     "Quire",
     "exact_dot",
@@ -103,7 +100,6 @@ __all__ = [
     "code_space_summary",
     # float formats
     "FloatFormat",
-    "FloatQuantizer",
     "float_quantize",
     "float_to_bits",
     "float_from_bits",

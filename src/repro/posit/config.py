@@ -138,9 +138,9 @@ class PositConfig:
                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Snap ``x`` onto this posit grid (Algorithm 1 when ``mode="zero"``).
 
-        Dispatches to the LUT kernel (:mod:`repro.formats.kernels`) when
-        enabled; the vectorized scalar path below remains the conformance
-        oracle and handles formats/modes the kernels don't cover.
+        Served by the LUT kernel (:mod:`repro.formats.kernels`) for
+        ``n <= 16``; wider formats, and modes no kernel serves, use the
+        vectorized functions of :mod:`repro.posit.quantize`.
         """
         from repro.formats.kernels import active_kernel
 
@@ -173,14 +173,6 @@ class PositConfig:
         from .quantize import bits_to_float as _bits_to_float
 
         return _bits_to_float(bits, self)
-
-    def make_quantizer(self, rounding: str = "zero",
-                       rng: Optional[np.random.Generator] = None,
-                       track_stats: bool = False):
-        """Build a :class:`~repro.posit.quantize.PositQuantizer` for this format."""
-        from .quantize import PositQuantizer
-
-        return PositQuantizer(self, rounding=rounding, rng=rng, track_stats=track_stats)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,6 @@ __all__ = [
     "float_quantize",
     "float_to_bits",
     "float_from_bits",
-    "FloatQuantizer",
 ]
 
 
@@ -136,9 +135,9 @@ class FloatFormat:
 
         ``mode`` is ``"nearest"`` or ``"stochastic"``; posit's ``"zero"``
         mode is accepted and mapped to ``"nearest"`` (the convention the
-        policy layer has always used for float baselines).  Narrow formats
-        dispatch to the LUT kernel (:mod:`repro.formats.kernels`) when
-        enabled; the module functions remain the conformance oracle.
+        policy layer has always used for float baselines).  Formats of up
+        to 16 bits are served by the LUT kernel
+        (:mod:`repro.formats.kernels`); wider ones by the module functions.
         """
         from repro.formats.kernels import active_kernel
 
@@ -167,12 +166,6 @@ class FloatFormat:
         if kernel is not None:
             return kernel.from_bits(bits)
         return float_from_bits(bits, self)
-
-    def make_quantizer(self, rounding: str = "nearest",
-                       rng: np.random.Generator | None = None) -> "FloatQuantizer":
-        """Build a :class:`FloatQuantizer` bound to this format."""
-        mode = "stochastic" if rounding == "stochastic" else "nearest"
-        return FloatQuantizer(self, rounding=mode, rng=rng)
 
 
 #: Standard formats referenced by the paper and its baselines.
@@ -350,29 +343,3 @@ def float_from_bits(bits, fmt: FloatFormat) -> np.ndarray:
     out = np.where(sign == 1, -out, out)
     out = np.where(exp_field == exp_all_ones, np.nan, out)
     return out[0] if np.asarray(bits).ndim == 0 else out
-
-
-class FloatQuantizer:
-    """Callable wrapper around :func:`float_quantize`, mirroring ``PositQuantizer``."""
-
-    def __init__(self, fmt: FloatFormat, rounding: str = "nearest",
-                 rng: np.random.Generator | None = None):
-        self.fmt = fmt
-        self.rounding = rounding
-        self.rng = rng
-
-    @property
-    def format(self) -> FloatFormat:
-        """The bound format (uniform accessor across quantizer families)."""
-        return self.fmt
-
-    def __call__(self, x) -> np.ndarray:
-        """Quantize ``x`` to the bound float format."""
-        return float_quantize(x, self.fmt, rng=self.rng, rounding=self.rounding)
-
-    def to_bits(self, x) -> np.ndarray:
-        """Quantize ``x`` and return bit patterns instead of values."""
-        return float_to_bits(x, self.fmt, rounding=self.rounding, rng=self.rng)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FloatQuantizer({self.fmt}, rounding={self.rounding!r})"

@@ -18,7 +18,10 @@ Two views of the quantized data are offered:
   accounting.
 
 All functions are validated against the scalar reference implementation in
-:mod:`repro.posit.scalar` by exhaustive enumeration for small word sizes.
+:mod:`repro.posit.scalar` by exhaustive enumeration for small word sizes and
+seeded sweeps of the 32-bit formats.  Formats with ``n <= 16`` are served in
+production by the LUT kernels (:mod:`repro.formats.kernels`), whose tables
+are built from these functions.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "quantize",
     "quantize_to_bits",
     "bits_to_float",
-    "PositQuantizer",
 ]
 
 #: Supported rounding modes.  ``"zero"`` is Algorithm 1 (truncation toward
@@ -42,29 +44,6 @@ __all__ = [
 #: posit standard); ``"stochastic"`` rounds up with probability proportional
 #: to the distance from the lower grid point.
 ROUNDING_MODES = ("zero", "nearest", "stochastic")
-
-#: Formats up to this word size use a cached lookup table of all positive
-#: values (2**(n-1) - 1 entries) and ``numpy.searchsorted``, which is several
-#: times faster than the field-by-field algorithmic path for the large
-#: activation/gradient tensors seen during training.
-_GRID_MAX_BITS = 20
-
-_GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def positive_value_grid(config: PositConfig) -> np.ndarray:
-    """Return all strictly positive values of ``config`` in increasing order.
-
-    The grid is cached per format.  Grids are only built for word sizes up to
-    ``_GRID_MAX_BITS``; larger formats fall back to the algorithmic path.
-    """
-    key = config.as_tuple()
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        codes = np.arange(1, np.int64(1) << (config.n - 1), dtype=np.int64)
-        grid = _decode_bodies(codes, config)
-        _GRID_CACHE[key] = grid
-    return grid
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -124,14 +103,17 @@ def _decode_bodies(codes: np.ndarray, config: PositConfig) -> np.ndarray:
     body_width = n - 1
     codes = codes.astype(np.int64)
 
+    # The regime is the run of bits equal to the first body bit.  Inverting
+    # bodies that start with a one turns every run into leading zeros, so
+    # the run length is the body width minus the normalized bit length.
     first_bit = (codes >> (body_width - 1)) & 1
-    run = np.zeros(codes.shape, dtype=np.int64)
-    still_running = np.ones(codes.shape, dtype=bool)
-    for i in range(body_width - 1, -1, -1):
-        bit = (codes >> i) & 1
-        matches = still_running & (bit == first_bit)
-        run += matches.astype(np.int64)
-        still_running = matches
+    normalized = np.where(first_bit == 1, ~codes & ((np.int64(1) << body_width) - 1), codes)
+    # The frexp exponent of the float64 cast is the integer's bit length.
+    bit_length = np.frexp(normalized.astype(np.float64))[1].astype(np.int64)
+    if body_width > 53:
+        # Above 2**53 the cast can round up to the next power of two.
+        bit_length -= (bit_length > 0) & (normalized >> np.maximum(bit_length - 1, 0) == 0)
+    run = body_width - bit_length
 
     k = np.where(first_bit == 1, run - 1, -run)
     regime_width = np.minimum(run + 1, body_width)
@@ -150,14 +132,6 @@ def _decode_bodies(codes: np.ndarray, config: PositConfig) -> np.ndarray:
     return value
 
 
-def _values_from_codes(codes: np.ndarray, config: PositConfig) -> np.ndarray:
-    """Map positive body codes to their real values, via the grid when cached."""
-    if config.n <= _GRID_MAX_BITS:
-        grid = positive_value_grid(config)
-        return grid[codes - 1]
-    return _decode_bodies(codes, config)
-
-
 def _round_codes(
     mag: np.ndarray,
     config: PositConfig,
@@ -165,24 +139,15 @@ def _round_codes(
     rng: Optional[np.random.Generator],
 ) -> np.ndarray:
     """Round positive magnitudes (within [minpos, maxpos]) to body codes."""
-    body_width = config.n - 1
-    max_code = (np.int64(1) << body_width) - 1
-
-    if config.n <= _GRID_MAX_BITS:
-        # Fast path: binary search against the cached value grid.  Codes are
-        # ``grid index + 1`` because code 0 is the zero pattern.
-        grid = positive_value_grid(config)
-        lo = np.searchsorted(grid, mag, side="right").astype(np.int64)
-        lo = np.clip(lo, 1, max_code)
-    else:
-        lo = _encode_magnitudes_rtz(mag, config)
+    max_code = (np.int64(1) << (config.n - 1)) - 1
+    lo = _encode_magnitudes_rtz(mag, config)
     if rounding == "zero":
         return lo
 
-    lo_val = _values_from_codes(lo, config)
+    lo_val = _decode_bodies(lo, config)
     exact = lo_val >= mag  # lo_val == mag up to float equality
     hi = np.minimum(lo + 1, max_code)
-    hi_val = _values_from_codes(hi, config)
+    hi_val = _decode_bodies(hi, config)
 
     if rounding == "nearest":
         mid = 0.5 * (lo_val + hi_val)
@@ -276,7 +241,7 @@ def quantize(
     if np.any(representable):
         clipped = np.clip(mag[representable], config.minpos, config.maxpos)
         codes = _round_codes(clipped, config, rounding, rng)
-        out[representable] = sign[representable] * _values_from_codes(codes, config)
+        out[representable] = sign[representable] * _decode_bodies(codes, config)
 
     if np.any(underflow_to_min):
         out[underflow_to_min] = sign[underflow_to_min] * config.minpos
@@ -347,83 +312,3 @@ def bits_to_float(bits, config: PositConfig) -> np.ndarray:
 
     scalar_input = np.asarray(bits).ndim == 0
     return out[0] if scalar_input else out
-
-
-class PositQuantizer:
-    """Reusable quantizer bound to a format and rounding mode.
-
-    This is the object that the training pipeline (:mod:`repro.core`)
-    attaches to each tensor role.  It optionally records simple running
-    statistics about the data it quantizes, which the analysis tooling uses
-    to reproduce Fig. 2 style plots.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.posit import PositConfig, PositQuantizer
-    >>> q = PositQuantizer(PositConfig(8, 1))
-    >>> q(np.array([0.1, 1.0, 100.0]))
-    array([9.96093750e-02, 1.00000000e+00, 9.60000000e+01])
-    """
-
-    def __init__(
-        self,
-        config: PositConfig,
-        rounding: str = "zero",
-        rng: Optional[np.random.Generator] = None,
-        track_stats: bool = False,
-    ):
-        if rounding not in ROUNDING_MODES:
-            raise ValueError(
-                f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}"
-            )
-        self.config = config
-        self.rounding = rounding
-        self.rng = rng
-        self.track_stats = track_stats
-        self.num_calls = 0
-        self.num_elements = 0
-        self.num_underflows = 0
-        self.num_saturations = 0
-
-    @property
-    def format(self) -> PositConfig:
-        """The bound format (uniform accessor across quantizer families)."""
-        return self.config
-
-    def __call__(self, x) -> np.ndarray:
-        """Quantize ``x`` to the bound posit format."""
-        arr = _as_float_array(x)
-        result = quantize(arr, self.config, rounding=self.rounding, rng=self.rng)
-        if self.track_stats:
-            flat = np.atleast_1d(arr)
-            mag = np.abs(flat[np.isfinite(flat)])
-            self.num_calls += 1
-            self.num_elements += int(mag.size)
-            self.num_underflows += int(np.sum((mag > 0) & (mag < self.config.minpos)))
-            self.num_saturations += int(np.sum(mag > self.config.maxpos))
-        return result
-
-    def to_bits(self, x) -> np.ndarray:
-        """Quantize ``x`` and return bit patterns instead of values."""
-        return quantize_to_bits(x, self.config, rounding=self.rounding, rng=self.rng)
-
-    def reset_stats(self) -> None:
-        """Zero the running statistics counters."""
-        self.num_calls = 0
-        self.num_elements = 0
-        self.num_underflows = 0
-        self.num_saturations = 0
-
-    @property
-    def stats(self) -> dict:
-        """Snapshot of the running statistics as a plain dict."""
-        return {
-            "calls": self.num_calls,
-            "elements": self.num_elements,
-            "underflows": self.num_underflows,
-            "saturations": self.num_saturations,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PositQuantizer({self.config}, rounding={self.rounding!r})"

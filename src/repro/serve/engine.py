@@ -47,7 +47,6 @@ import numpy as np
 
 from ..core.policy import QuantizationPolicy, RoleFormats
 from ..formats import NumberFormat, parse_format
-from ..formats.kernels import kernels_enabled as _kernels_enabled
 from ..nn import Module
 from ..obs.profiler import profiler as _codec_profiler
 from ..obs.tracing import TraceConfig, Tracer
@@ -751,7 +750,6 @@ class InferenceEngine:
             "energy_uj_per_request_observed": (energy / requests) if requests else 0.0,
             "uptime_s": time.perf_counter() - self._started_at,
             "tracing": self.tracer.summary(),
-            "codec_kernels": _kernels_enabled(),
         }
         if self._codec_profiling:
             payload["codec_profile"] = _codec_profiler.snapshot()

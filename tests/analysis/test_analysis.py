@@ -19,7 +19,8 @@ from repro.analysis import (
     sqnr_db,
 )
 from repro.models import tiny_resnet
-from repro.posit import PositConfig, PositQuantizer, quantize
+from repro.formats import get_quantizer
+from repro.posit import PositConfig, quantize
 
 
 class TestHistogramSummary:
@@ -110,15 +111,15 @@ class TestQuantErrorMetrics:
 
     def test_quantization_report(self, rng):
         values = rng.standard_normal(500)
-        report = quantization_report(values, PositQuantizer(PositConfig(8, 1)), label="p8")
+        report = quantization_report(values, get_quantizer(PositConfig(8, 1)), label="p8")
         assert report["label"] == "p8"
         assert report["sqnr_db"] > 10
 
     def test_more_bits_give_higher_sqnr(self, rng):
         values = rng.standard_normal(2000)
         reports = compare_formats(values, {
-            "posit8": PositQuantizer(PositConfig(8, 1)),
-            "posit16": PositQuantizer(PositConfig(16, 1)),
+            "posit8": get_quantizer(PositConfig(8, 1)),
+            "posit16": get_quantizer(PositConfig(16, 1)),
         })
         by_label = {r["label"]: r for r in reports}
         assert by_label["posit16"]["sqnr_db"] > by_label["posit8"]["sqnr_db"] + 20

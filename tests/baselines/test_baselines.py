@@ -5,13 +5,13 @@ import pytest
 
 from repro.baselines import (
     FixedPointFormat,
-    FixedPointQuantizer,
     fixed_point_policy,
     fixed_point_quantize,
     fp8_policy,
     fp16_policy,
     make_loss_scaler,
 )
+from repro.formats import get_quantizer
 from repro.posit import FP8_E4M3, FP8_E5M2, FP16
 
 
@@ -69,10 +69,10 @@ class TestFixedPointQuantize:
         with pytest.raises(ValueError):
             fixed_point_quantize(1.0, FixedPointFormat(2, 2), rounding="bogus")
 
-    def test_quantizer_object_and_policy_hook(self):
+    def test_factory_quantizer_rounds_zero_to_nearest(self):
         fmt = FixedPointFormat(2, 6)
-        quantizer = fmt.make_quantizer(rounding="zero")
-        assert isinstance(quantizer, FixedPointQuantizer)
+        quantizer = get_quantizer(fmt, rounding="zero")
+        assert quantizer.format == fmt
         np.testing.assert_array_equal(quantizer(np.array([0.1])),
                                       fixed_point_quantize(np.array([0.1]), fmt))
 

@@ -1,9 +1,15 @@
-"""The PR-2 deprecation window has closed: the shims must be *gone*.
+"""Removed names must stay *gone*.
 
-PR 2 deprecated the legacy ``Format`` union alias and the
-``repro.baselines.fixedpoint`` module with a two-PR removal window; these
-tests pin the other side of that promise — the names no longer resolve,
-and the supported replacements import cleanly without warnings.
+The legacy ``Format`` union alias and the ``repro.baselines.fixedpoint``
+module went through a two-PR deprecation window; these tests pin the other
+side of that promise — the names no longer resolve, and the supported
+replacements import cleanly without warnings.
+
+The codec kept one path per format family and removed the alternatives
+outright, with no aliases: the per-family quantizer classes (use
+:func:`repro.formats.get_quantizer`), ``make_quantizer``, the
+``REPRO_CODEC_KERNELS`` switch with ``set_kernels_enabled``, the posit
+value-grid branch, and the profiler's quantizer proxy.
 """
 
 import importlib
@@ -62,3 +68,47 @@ class TestFixedPointShimRemoved:
         from repro.formats import FixedPointFormat
 
         assert baselines.FixedPointFormat is FixedPointFormat
+
+
+class TestCodecAlternativesRemoved:
+    @pytest.mark.parametrize("module, name", [
+        ("repro", "PositQuantizer"),
+        ("repro.posit", "PositQuantizer"),
+        ("repro.posit.quantize", "PositQuantizer"),
+        ("repro.posit", "FloatQuantizer"),
+        ("repro.posit.floatformats", "FloatQuantizer"),
+        ("repro.baselines", "FixedPointQuantizer"),
+        ("repro.formats", "FixedPointQuantizer"),
+        ("repro.formats.fixedpoint", "FixedPointQuantizer"),
+        ("repro.formats", "KernelQuantizer"),
+        ("repro.formats.kernels", "KernelQuantizer"),
+        ("repro.formats", "set_kernels_enabled"),
+        ("repro.formats.kernels", "set_kernels_enabled"),
+        ("repro.formats.kernels", "_posit_decode_lut"),
+        ("repro.posit.quantize", "positive_value_grid"),
+        ("repro.posit.quantize", "_GRID_MAX_BITS"),
+        ("repro.obs.profiler", "_ProfiledQuantizer"),
+        ("repro.obs.profiler", "wrap_quantizer"),
+        ("repro.core.policy", "_make_quantizer"),
+    ])
+    def test_name_is_gone(self, module, name):
+        mod = importlib.import_module(module)
+        assert not hasattr(mod, name)
+        assert name not in getattr(mod, "__all__", ())
+
+    def test_formats_have_no_make_quantizer(self):
+        from repro.formats import FixedPointFormat
+        from repro.posit import FP16, PositConfig
+
+        assert "make_quantizer" not in NumberFormat.__abstractmethods__
+        for fmt in (PositConfig(8, 1), FP16, FixedPointFormat(2, 13)):
+            assert not hasattr(fmt, "make_quantizer")
+
+    def test_kernel_switch_is_ignored(self, monkeypatch):
+        from repro.formats import active_kernel, get_kernel
+        from repro.formats.kernels import kernels_enabled
+        from repro.posit import POSIT_8_1
+
+        monkeypatch.setenv("REPRO_CODEC_KERNELS", "0")
+        assert kernels_enabled() is True
+        assert active_kernel(POSIT_8_1, "zero") is get_kernel(POSIT_8_1)

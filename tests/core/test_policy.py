@@ -106,8 +106,8 @@ class TestAttach:
         QuantizationPolicy.cifar_paper().attach(model)
         conv = next(m for m in model.modules() if isinstance(m, Conv2d))
         bn = next(m for m in model.modules() if isinstance(m, BatchNorm2d))
-        assert conv.quant.quantizers["weight"].config == PositConfig(8, 1)
-        assert bn.quant.quantizers["weight"].config == PositConfig(16, 1)
+        assert conv.quant.quantizers["weight"].format == PositConfig(8, 1)
+        assert bn.quant.quantizers["weight"].format == PositConfig(16, 1)
 
     def test_first_and_last_layer_exemptions(self, rng):
         model = tiny_resnet(rng=rng)

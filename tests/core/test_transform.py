@@ -10,7 +10,8 @@ from repro.core import (
     fake_quantize,
     grad_quantize,
 )
-from repro.posit import PositConfig, PositQuantizer, quantize
+from repro.formats import get_quantizer
+from repro.posit import PositConfig, quantize
 from repro.tensor import Tensor
 
 
@@ -22,14 +23,14 @@ class TestApplyScaledQuantization:
     def test_equation_3(self, rng):
         """px = P(x / Sf) * Sf."""
         values = rng.standard_normal(100) * 0.01
-        quantizer = PositQuantizer(CFG_FWD)
+        quantizer = get_quantizer(CFG_FWD)
         scale = 2.0**-5
         result = apply_scaled_quantization(values, quantizer, scale)
         np.testing.assert_array_equal(result, np.asarray(quantize(values / scale, CFG_FWD)) * scale)
 
     def test_unit_scale_shortcut(self, rng):
         values = rng.standard_normal(20)
-        quantizer = PositQuantizer(CFG_FWD)
+        quantizer = get_quantizer(CFG_FWD)
         np.testing.assert_array_equal(
             apply_scaled_quantization(values, quantizer, 1.0),
             np.asarray(quantize(values, CFG_FWD)),
@@ -38,7 +39,7 @@ class TestApplyScaledQuantization:
     def test_shifting_improves_small_magnitude_fidelity(self, rng):
         """The whole point of Eq. (3): small-magnitude tensors lose less."""
         values = rng.standard_normal(2000) * 1e-4
-        quantizer = PositQuantizer(PositConfig(8, 0))
+        quantizer = get_quantizer(PositConfig(8, 0))
         direct = apply_scaled_quantization(values, quantizer, 1.0)
         from repro.core import compute_scale_factor
 
@@ -50,12 +51,12 @@ class TestApplyScaledQuantization:
 class TestFakeQuantize:
     def test_forward_values_on_grid(self, rng):
         x = Tensor(rng.standard_normal(50), requires_grad=True)
-        out = fake_quantize(x, PositQuantizer(CFG_FWD))
+        out = fake_quantize(x, get_quantizer(CFG_FWD))
         np.testing.assert_array_equal(out.data, np.asarray(quantize(x.data, CFG_FWD)))
 
     def test_straight_through_gradient(self, rng):
         x = Tensor(rng.standard_normal(50), requires_grad=True)
-        out = fake_quantize(x, PositQuantizer(CFG_FWD))
+        out = fake_quantize(x, get_quantizer(CFG_FWD))
         upstream = rng.standard_normal(50)
         out.backward(upstream)
         np.testing.assert_array_equal(x.grad, upstream)
@@ -63,7 +64,7 @@ class TestFakeQuantize:
     def test_scaler_applied(self, rng):
         x = Tensor(rng.standard_normal(100) * 1e-4, requires_grad=True)
         scaler = ScaleEstimator(sigma=2)
-        out = fake_quantize(x, PositQuantizer(CFG_FWD), scaler)
+        out = fake_quantize(x, get_quantizer(CFG_FWD), scaler)
         scale = scaler.scale_for(x.data)
         np.testing.assert_array_equal(
             out.data, np.asarray(quantize(x.data / scale, CFG_FWD)) * scale
@@ -73,12 +74,12 @@ class TestFakeQuantize:
 class TestGradQuantize:
     def test_forward_is_identity(self, rng):
         x = Tensor(rng.standard_normal(30), requires_grad=True)
-        out = grad_quantize(x, PositQuantizer(CFG_BWD))
+        out = grad_quantize(x, get_quantizer(CFG_BWD))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_backward_gradient_on_grid(self, rng):
         x = Tensor(rng.standard_normal(30), requires_grad=True)
-        out = grad_quantize(x, PositQuantizer(CFG_BWD))
+        out = grad_quantize(x, get_quantizer(CFG_BWD))
         upstream = rng.standard_normal(30)
         out.backward(upstream)
         np.testing.assert_array_equal(x.grad, np.asarray(quantize(upstream, CFG_BWD)))
@@ -88,7 +89,7 @@ class TestGradQuantize:
 
         stats = RoleStats()
         x = Tensor(rng.standard_normal(30), requires_grad=True)
-        out = grad_quantize(x, PositQuantizer(CFG_BWD), stats=stats)
+        out = grad_quantize(x, get_quantizer(CFG_BWD), stats=stats)
         out.backward(rng.standard_normal(30))
         assert stats.calls == 1
         assert stats.elements == 30
@@ -98,10 +99,10 @@ class TestLayerQuantContext:
     def make_context(self, **kwargs):
         return LayerQuantContext(
             "layer0",
-            weight_quantizer=PositQuantizer(CFG_FWD),
-            activation_quantizer=PositQuantizer(CFG_FWD),
-            error_quantizer=PositQuantizer(CFG_BWD),
-            weight_grad_quantizer=PositQuantizer(CFG_BWD),
+            weight_quantizer=get_quantizer(CFG_FWD),
+            activation_quantizer=get_quantizer(CFG_FWD),
+            error_quantizer=get_quantizer(CFG_BWD),
+            weight_grad_quantizer=get_quantizer(CFG_BWD),
             **kwargs,
         )
 
@@ -158,7 +159,7 @@ class TestLayerQuantContext:
     def test_scalers_per_role(self, rng):
         context = LayerQuantContext(
             "scaled",
-            weight_quantizer=PositQuantizer(CFG_FWD),
+            weight_quantizer=get_quantizer(CFG_FWD),
             weight_scaler=ScaleEstimator(sigma=2),
         )
         weights = Tensor(rng.standard_normal(200) * 1e-3, requires_grad=True)

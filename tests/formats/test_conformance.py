@@ -13,12 +13,16 @@ invariants, pinned here for *every* format the registry knows:
 * **zero is canonical**: ``0.0`` and ``-0.0`` both encode to the single
   canonical zero code and decode to exactly ``0.0`` (a second zero code
   would break byte-identical re-export and the guardrail's bit-identity).
+
+Fixed point, which has no NaN or inf code, also pins what it does with them.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.formats import available_formats
+from repro.formats import available_formats, parse_format
 
 #: Exhaustive sweeps cost 2**bits decodes; 4096 codes is still instant.
 EXHAUSTIVE_MAX_BITS = 12
@@ -112,3 +116,26 @@ class TestCodecConformance:
         assert np.abs(finite_nonzero).min() >= fmt.minpos, fmt.spec()
         assert finite_nonzero.max() <= fmt.maxpos, fmt.spec()
         assert finite_nonzero.min() >= -(fmt.maxpos + fmt.minpos), fmt.spec()
+
+
+@pytest.mark.parametrize("mode", ["nearest", "stochastic"])
+@pytest.mark.parametrize("spec", ["fixed(8,5)", "fixed(16,13)", "fixed(32,16)"])
+def test_fixed_point_nan_and_inf(spec, mode):
+    """Fixed point has no NaN or inf code.
+
+    NaN stays NaN under ``quantize`` and stores as code 0; ``±inf`` and
+    magnitudes far past the range saturate to the extreme codes.  Neither
+    raises a floating-point warning.
+    """
+    fmt = parse_format(spec)
+    x = np.array([np.nan, np.inf, -np.inf, 1e308, -1e308, np.finfo(np.float64).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = fmt.to_bits(x, mode=mode, rng=np.random.default_rng(0))
+        values = fmt.quantize(x, mode=mode, rng=np.random.default_rng(0))
+    top, bottom = 2 ** (fmt.bits - 1) - 1, 2 ** (fmt.bits - 1)
+    assert codes.tolist() == [0, top, bottom, top, bottom, top]
+    assert np.isnan(values[0])
+    hi, lo = fmt.max_value, fmt.min_value
+    assert values[1:].tolist() == [hi, lo, hi, lo, hi]
+    assert fmt.from_bits(codes).tolist() == [0.0, hi, lo, hi, lo, hi]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.formats import (
     FixedPointFormat,
+    FormatQuantizer,
     clear_quantizer_cache,
     get_quantizer,
     quantizer_cache_info,
@@ -70,12 +71,30 @@ class TestCaching:
         assert ("fp16", "nearest") in info["keys"]
 
     def test_unsupported_descriptor_raises(self):
-        with pytest.raises(TypeError, match="make_quantizer"):
+        with pytest.raises(TypeError, match="not a NumberFormat"):
             get_quantizer(object())
+
+    def test_every_family_gets_one_quantizer_type(self):
+        for fmt in (PositConfig(8, 1), PositConfig(32, 3), FP16,
+                    FixedPointFormat(2, 13)):
+            quantizer = get_quantizer(fmt, "nearest")
+            assert type(quantizer) is FormatQuantizer
+            assert quantizer.format is fmt
 
 
 class TestRoundingAdaptation:
     """Each family maps the policy's rounding onto what it supports."""
+
+    def test_quantizer_methods_are_the_format_methods(self, rng):
+        values = rng.standard_normal(100)
+        for fmt in (PositConfig(8, 1), PositConfig(32, 2), FP16,
+                    FixedPointFormat(2, 13)):
+            quantizer = get_quantizer(fmt, "nearest")
+            np.testing.assert_array_equal(quantizer(values),
+                                          fmt.quantize(values, mode="nearest"))
+            codes = quantizer.to_bits(values)
+            np.testing.assert_array_equal(codes, fmt.to_bits(values, mode="nearest"))
+            np.testing.assert_array_equal(quantizer.from_bits(codes), fmt.from_bits(codes))
 
     def test_float_treats_zero_as_nearest(self, rng):
         values = rng.standard_normal(100)

@@ -1,26 +1,32 @@
-"""Differential conformance harness: LUT kernels vs the scalar oracle.
+"""Differential conformance harness: every codec path vs its oracle.
 
-Every registry format with ``bits <= 16`` must behave **bit-for-bit**
-identically whether the codec kernels (:mod:`repro.formats.kernels`) or the
-historical scalar/vectorized module functions serve the call:
+Every registry format with ``bits <= 16`` is served by a LUT kernel
+(:mod:`repro.formats.kernels`), which must behave **bit-for-bit**
+identically to the family's vectorized module functions:
 
 * ``from_bits`` — exhaustive over all ``2**bits`` codes, including NaR/NaN
   patterns and signed zeros (compared with ``signbit``, not just value).
+  The kernels' decode tables are built from the module functions, so for
+  posit the check goes one step further back, to the scalar
+  :func:`repro.posit.scalar.decode`.
 * ``to_bits`` / ``quantize`` — exhaustive over the representable grid, every
   midpoint between adjacent representable values, the one-ulp neighbours of
   every midpoint (the tie-to-even boundary), seeded log-uniform and normal
-  random draws, and the special values named in the issue: ``±0``, ``±inf``,
-  ``NaN``, the subnormal range, and magnitudes beyond ``maxpos``.
+  random draws, and the special values: ``±0``, ``±inf``, ``NaN``, the
+  subnormal range, and magnitudes beyond ``maxpos``.
 * ``stochastic`` rounding — deterministic on exactly representable inputs,
   and compared distribution-wise (up-rounding frequency per probe point)
   under fixed seeds otherwise, since kernel and oracle consume their
   generators over different index sets.
 
-The oracle side always goes through :func:`repro.formats.reference_ops`,
-which binds the module-level functions directly — those never dispatch back
-into the kernels, so the comparison stays meaningful even with kernels
-forced on.  The kernel side goes through the *format methods*, so the
-dispatch layer is exercised end-to-end, not just the kernel object.
+The oracle side goes through :func:`repro.formats.reference_ops`, which
+binds the module-level functions directly; the kernel side goes through the
+*format methods*, so the dispatch layer is exercised end-to-end, not just
+the kernel object.
+
+The 32-bit posits have no kernel: their codec *is* the vectorized module
+functions, checked here on seeded sweeps against the scalar
+:func:`~repro.posit.scalar.encode` / :func:`~repro.posit.scalar.decode`.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ from repro.formats import (
     available_formats,
     get_kernel,
     reference_ops,
-    set_kernels_enabled,
 )
+from repro.posit import POSIT_32_2, POSIT_32_3, PositConfig
+from repro.posit import scalar as posit_scalar
 
 
 def _narrow_formats():
@@ -54,13 +61,6 @@ FORMAT_IDS = [fmt.spec() for fmt in NARROW_FORMATS]
 #: truncation) from ``nearest``; float/fixed map ``zero`` onto ``nearest``,
 #: and the harness runs both spellings so that mapping is pinned too.
 DETERMINISTIC_MODES = ("zero", "nearest")
-
-
-@pytest.fixture(autouse=True)
-def _force_kernels_on():
-    previous = set_kernels_enabled(True)
-    yield
-    set_kernels_enabled(previous)
 
 
 def _assert_same_values(kernel_vals, oracle_vals, context: str) -> None:
@@ -117,14 +117,19 @@ def test_every_narrow_registry_format_has_a_kernel():
     assert not missing, f"no kernel built for: {missing}"
 
 
+def _scalar_decode(codes, fmt) -> np.ndarray:
+    return np.array([posit_scalar.decode(int(code), fmt) for code in codes])
+
+
 @pytest.mark.parametrize("fmt", NARROW_FORMATS, ids=FORMAT_IDS)
 def test_from_bits_exhaustive(fmt):
     """All 2**bits codes decode identically through kernel and oracle."""
-    ref = reference_ops(fmt)
     codes = np.arange(1 << fmt.bits, dtype=np.int64)
-    _assert_same_values(
-        fmt.from_bits(codes), ref.from_bits(codes), f"{fmt.spec()} from_bits"
-    )
+    if isinstance(fmt, PositConfig):
+        expected = _scalar_decode(codes, fmt)
+    else:
+        expected = reference_ops(fmt).from_bits(codes)
+    _assert_same_values(fmt.from_bits(codes), expected, f"{fmt.spec()} from_bits")
 
 
 @pytest.mark.parametrize("mode", DETERMINISTIC_MODES)
@@ -151,9 +156,6 @@ def test_quantize_bit_identity(fmt, mode):
     )
 
 
-# The fixed-point *oracle* warns on inf - inf under stochastic rounding
-# (pre-existing behaviour both paths share; the kernel delegates to it).
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("fmt", NARROW_FORMATS, ids=FORMAT_IDS)
 def test_stochastic_is_deterministic_on_grid(fmt):
     """Exactly representable inputs round to themselves with probability 1,
@@ -212,17 +214,54 @@ def test_stochastic_distribution_matches(fmt):
     )
 
 
-@pytest.mark.parametrize("fmt", NARROW_FORMATS, ids=FORMAT_IDS)
-def test_kernel_disabled_matches_kernel_enabled(fmt):
-    """The switch changes the engine, never the answer."""
-    x = _encode_sweep(fmt)
-    on_bits = fmt.to_bits(x, mode="nearest")
-    on_vals = fmt.quantize(x, mode="nearest")
-    set_kernels_enabled(False)
-    try:
-        off_bits = fmt.to_bits(x, mode="nearest")
-        off_vals = fmt.quantize(x, mode="nearest")
-    finally:
-        set_kernels_enabled(True)
-    np.testing.assert_array_equal(on_bits, off_bits)
-    _assert_same_values(on_vals, off_vals, f"{fmt.spec()} switch")
+# --------------------------------------------------------------------------
+# 32-bit posits: the vectorized module functions against the scalar codec
+# --------------------------------------------------------------------------
+
+WIDE_POSITS = (POSIT_32_2, POSIT_32_3)
+WIDE_IDS = [fmt.spec() for fmt in WIDE_POSITS]
+
+
+def _wide_codes(fmt) -> np.ndarray:
+    """Seeded codes over the whole word, plus the boundary patterns."""
+    rng = np.random.default_rng(0x3200 + fmt.es)
+    top = 1 << fmt.n
+    edges = np.array([0, 1, 2, fmt.nar_pattern - 1, fmt.nar_pattern,
+                      fmt.nar_pattern + 1, top - 1], dtype=np.int64)
+    return np.concatenate([rng.integers(0, top, size=2048, dtype=np.int64), edges])
+
+
+def _wide_values(fmt) -> np.ndarray:
+    """Seeded log-uniform draws past both ends of the range, grid points,
+    exact midpoints between neighbouring codes (the ties), and specials."""
+    rng = np.random.default_rng(0x32 + fmt.es)
+    span = fmt.max_exponent + 2
+    mags = np.exp2(rng.uniform(-span, span, size=1024)) * rng.uniform(1.0, 2.0, size=1024)
+    randoms = mags * rng.choice([-1.0, 1.0], size=mags.size)
+    body = rng.integers(1, fmt.nar_pattern - 1, size=256)
+    lo = _scalar_decode(body, fmt)
+    hi = _scalar_decode(body + 1, fmt)
+    mids = 0.5 * (lo + hi)
+    minpos, maxpos = fmt.minpos, fmt.maxpos
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324,
+                         minpos, -minpos, minpos / 2.0, np.nextafter(minpos / 2.0, 0.0),
+                         maxpos, -maxpos, maxpos * 2.0])
+    return np.concatenate([randoms, lo, -lo, mids, -mids, specials])
+
+
+@pytest.mark.parametrize("fmt", WIDE_POSITS, ids=WIDE_IDS)
+def test_wide_posit_from_bits_matches_scalar(fmt):
+    codes = _wide_codes(fmt)
+    _assert_same_values(fmt.from_bits(codes), _scalar_decode(codes, fmt),
+                        f"{fmt.spec()} from_bits")
+
+
+@pytest.mark.parametrize("mode", DETERMINISTIC_MODES)
+@pytest.mark.parametrize("fmt", WIDE_POSITS, ids=WIDE_IDS)
+def test_wide_posit_encode_matches_scalar(fmt, mode):
+    x = _wide_values(fmt)
+    codes = np.array([posit_scalar.encode(float(v), fmt, rounding=mode) for v in x])
+    np.testing.assert_array_equal(fmt.to_bits(x, mode=mode), codes,
+                                  err_msg=f"{fmt.spec()} to_bits[{mode}]")
+    _assert_same_values(fmt.quantize(x, mode=mode), _scalar_decode(codes, fmt),
+                        f"{fmt.spec()} quantize[{mode}]")

@@ -1,15 +1,12 @@
 """Algebraic properties of the kernel codec path + oracle-preservation pins.
 
 Complements the differential harness (``test_kernel_differential.py``): that
-file proves kernel == oracle; this one proves the invariants *both* paths
-must satisfy, that array metadata survives the kernel's ravel/reshape round
-trip, that dispatch honours the ``REPRO_CODEC_KERNELS`` switch, and — the
-"fix en route" from the issue — that the scalar entry points stay alive and
-callable, because they *are* the oracle.  The audit of
-``repro.posit.quantize`` / ``repro.posit.scalar`` found no dead helpers to
-delete: every bit-assembly loop still serves the ``posit(32,x)`` formats,
-which sit above ``KERNEL_MAX_BITS`` and always take the scalar path (pinned
-below).
+file proves kernel == oracle; this one proves the invariants every codec
+path must satisfy, that array metadata survives the kernel's ravel/reshape
+round trip, that the factory's quantizers dispatch to the kernels, and that
+the module-level entry points stay alive and callable, because they *are*
+the oracle (and the only codec for ``posit(32,x)`` and fp32, which sit above
+``KERNEL_MAX_BITS``; pinned below).
 """
 
 from __future__ import annotations
@@ -20,20 +17,16 @@ import pytest
 from repro.formats import (
     KERNEL_MAX_BITS,
     FixedPointFormat,
-    KernelQuantizer,
+    FormatQuantizer,
     available_formats,
-    clear_quantizer_cache,
     get_kernel,
     get_quantizer,
     kernel_info,
-    kernels_enabled,
-    set_kernels_enabled,
 )
 from repro.posit import POSIT_8_1, POSIT_16_1, POSIT_32_3
 from repro.posit import scalar as posit_scalar
 from repro.posit.quantize import (
     bits_to_float,
-    positive_value_grid,
     quantize as posit_quantize,
     quantize_to_bits,
 )
@@ -56,15 +49,6 @@ def _narrow_formats():
 
 NARROW_FORMATS = _narrow_formats()
 FORMAT_IDS = [fmt.spec() for fmt in NARROW_FORMATS]
-
-
-@pytest.fixture(autouse=True)
-def _force_kernels_on():
-    previous = set_kernels_enabled(True)
-    clear_quantizer_cache()
-    yield
-    set_kernels_enabled(previous)
-    clear_quantizer_cache()
 
 
 def _sample(fmt, size=2048, seed=42):
@@ -168,46 +152,23 @@ def test_shapes_dtypes_and_layouts_are_preserved(fmt):
 
 
 # --------------------------------------------------------------------------
-# Dispatch switch
+# Dispatch
 # --------------------------------------------------------------------------
 
-def _unwrap(quantizer):
-    """See through the profiler proxy the factory always applies."""
-    return getattr(quantizer, "_inner", quantizer)
-
-
-def test_factory_serves_kernel_quantizers_when_enabled():
+def test_factory_quantizers_dispatch_to_the_kernel():
     q = get_quantizer(POSIT_8_1, "zero")
-    assert isinstance(_unwrap(q), KernelQuantizer)
-    # Equality, not identity: the kernel cache is keyed by format equality,
-    # so the kernel (and hence q.format) may hold an equal registry instance
-    # built by whichever suite touched posit(8,1) first.
+    assert isinstance(q, FormatQuantizer)
+    # Equality, not identity: the quantizer cache is keyed by format
+    # equality, so q.format may be an equal instance cached by whichever
+    # test asked for posit(8,1) first.
     assert q.format == POSIT_8_1
     assert q.format.spec() == "posit(8,1)"
     assert q.rounding == "zero"
-
-
-def test_factory_falls_back_when_disabled():
-    set_kernels_enabled(False)
-    q = get_quantizer(POSIT_8_1, "zero")
-    assert not isinstance(_unwrap(q), KernelQuantizer)
+    kernel = get_kernel(POSIT_8_1)
     x = np.linspace(-3, 3, 64)
-    off = q(x)
-    set_kernels_enabled(True)
-    on = get_quantizer(POSIT_8_1, "zero")(x)
-    assert np.array_equal(on, off)
-
-
-def test_environment_variable_controls_default(monkeypatch):
-    set_kernels_enabled(None)  # defer to the environment
-    monkeypatch.setenv("REPRO_CODEC_KERNELS", "0")
-    assert not kernels_enabled()
-    monkeypatch.setenv("REPRO_CODEC_KERNELS", "off")
-    assert not kernels_enabled()
-    monkeypatch.setenv("REPRO_CODEC_KERNELS", "1")
-    assert kernels_enabled()
-    monkeypatch.delenv("REPRO_CODEC_KERNELS")
-    assert kernels_enabled()  # on by default
+    assert np.array_equal(q(x), kernel.quantize(x, "zero"))
+    assert np.array_equal(q.to_bits(x), kernel.to_bits(x, "zero"))
+    assert np.array_equal(q.from_bits(q.to_bits(x)), q(x))
 
 
 def test_wide_formats_never_get_kernels():
@@ -237,7 +198,6 @@ def test_kernel_info_reports_every_narrow_format():
 # --------------------------------------------------------------------------
 
 def test_posit_scalar_entry_points_still_work():
-    set_kernels_enabled(False)
     fmt = POSIT_8_1
     # Scalar single-value codec (the LUT build source).
     for code in (0, 1, fmt.nar_pattern - 1, fmt.nar_pattern, 200, 255):
@@ -251,12 +211,9 @@ def test_posit_scalar_entry_points_still_work():
     bits = quantize_to_bits(x, fmt, rounding="nearest")
     values = bits_to_float(bits, fmt)
     assert np.array_equal(values, posit_quantize(x, fmt, rounding="nearest"))
-    grid = positive_value_grid(fmt)
-    assert grid.size == fmt.positive_code_count
 
 
 def test_float_and_fixed_module_oracles_still_work():
-    set_kernels_enabled(False)
     x = np.linspace(-3, 3, 65)
     for fmt in (FP16, BFLOAT16):
         bits = float_to_bits(x, fmt, rounding="nearest")

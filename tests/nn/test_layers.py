@@ -18,7 +18,8 @@ from repro.nn import (
     Sequential,
 )
 from repro.nn import init
-from repro.posit import PositConfig, PositQuantizer
+from repro.formats import get_quantizer
+from repro.posit import PositConfig
 from repro.tensor import Tensor
 
 
@@ -134,12 +135,12 @@ class TestQuantizationHooks:
     """The Fig. 3 insertion points: weights, activations, errors."""
 
     def _context(self, config=PositConfig(8, 1)):
-        quantizer = PositQuantizer(config)
+        quantizer = get_quantizer(config)
         return LayerQuantContext(
             "test",
             weight_quantizer=quantizer,
             activation_quantizer=quantizer,
-            error_quantizer=PositQuantizer(PositConfig(8, 2)),
+            error_quantizer=get_quantizer(PositConfig(8, 2)),
         )
 
     def test_conv_output_is_quantized(self, rng):
@@ -169,7 +170,7 @@ class TestQuantizationHooks:
 
         layer = Linear(4, 4, rng=rng)
         layer.quant = LayerQuantContext(
-            "test", error_quantizer=PositQuantizer(PositConfig(8, 2)))
+            "test", error_quantizer=get_quantizer(PositConfig(8, 2)))
         x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         layer(x).sum().backward()
         np.testing.assert_array_equal(

@@ -1,9 +1,9 @@
 """Tests for the codec hot-path profiler (:mod:`repro.obs.profiler`).
 
-The profiler has two hook points — the quantizer-factory proxy and the
-patched format-class codec methods — and a hard contract that both are
+The profiler has one hook point — the patched format-class codec methods,
+which the factory's quantizers call too — and a hard contract that it is
 free when profiling is off and fully reversible.  Tests drive the real
-format classes (posit / float / fixed) through both hooks.
+format classes (posit / float / fixed) directly and through quantizers.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 
 from repro.formats import get_quantizer, parse_format
 from repro.obs import CodecProfiler, profiler
-from repro.obs.profiler import OPS, _ProfiledQuantizer
+from repro.obs.profiler import OPS
 
 
 @pytest.fixture
@@ -96,18 +96,9 @@ class TestFormatClassHook:
         assert prof.snapshot()["formats"] == {}
 
 
-class TestFactoryProxy:
-    def test_factory_returns_proxy(self, fmt):
-        quantizer = get_quantizer(fmt, "nearest")
-        assert isinstance(quantizer, _ProfiledQuantizer)
-
+class TestFactoryQuantizers:
     def test_identity_caching_preserved(self, fmt):
         assert get_quantizer(fmt, "nearest") is get_quantizer(fmt, "nearest")
-
-    def test_attribute_delegation(self, fmt):
-        quantizer = get_quantizer(fmt, "stochastic")
-        assert quantizer.rounding == "stochastic"
-        assert "profiled" in repr(quantizer)
 
     def test_quantize_calls_accounted(self, prof, fmt):
         quantizer = get_quantizer(fmt, "nearest")
@@ -118,6 +109,29 @@ class TestFactoryProxy:
         entry = prof.snapshot()["formats"][fmt.spec()]["quantize"]
         assert entry["calls"] == 2
         assert entry["elements"] == 64
+
+    def test_each_op_counted_once(self, prof):
+        values = np.linspace(-1.0, 1.0, 16)
+        for spec in ("posit(8,1)", "posit(32,2)", "fp32", "fixed(16,13)"):
+            quantizer = get_quantizer(spec, "nearest")
+            with prof:
+                quantizer(values)
+                quantizer(values)
+                codes = quantizer.to_bits(values)
+                quantizer.from_bits(codes)
+            ops = prof.snapshot()["formats"][quantizer.format.spec()]
+            assert {op: entry["calls"] for op, entry in ops.items()} == {
+                "quantize": 2, "to_bits": 1, "from_bits": 1}, spec
+
+    def test_any_profiler_counts_quantizers_built_before_it(self, prof):
+        quantizer = get_quantizer("posit(16,2)", "zero")
+        quantizer(np.ones(4))
+        own = CodecProfiler()
+        with own:
+            quantizer(np.ones(8))
+        entry = own.snapshot()["formats"]["posit(16,2)"]["quantize"]
+        assert entry["calls"] == 1 and entry["elements"] == 8
+        assert prof.snapshot()["formats"] == {}
 
     def test_profiling_does_not_change_results(self, prof, fmt):
         quantizer = get_quantizer(fmt, "nearest")

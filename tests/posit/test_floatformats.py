@@ -10,9 +10,9 @@ from repro.posit import (
     FP16,
     FP32,
     FloatFormat,
-    FloatQuantizer,
     float_quantize,
 )
+from repro.formats import get_quantizer
 
 
 class TestFormatConstants:
@@ -93,9 +93,9 @@ class TestFloatQuantize:
         assert np.ndim(float_quantize(1.3, FP16)) == 0
 
 
-class TestFloatQuantizerObject:
+class TestFactoryQuantizer:
     def test_callable(self, rng):
-        quantizer = FloatQuantizer(FP16)
+        quantizer = get_quantizer(FP16, "nearest")
         values = rng.standard_normal(10)
         np.testing.assert_array_equal(quantizer(values), float_quantize(values, FP16))
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.formats import get_quantizer
 from repro.posit import (
     PositConfig,
-    PositQuantizer,
     bits_to_float,
     decode,
     encode,
@@ -161,30 +161,18 @@ class TestBitConversion:
         assert np.ndim(quantize_to_bits(2.0, paper_config)) == 0
 
 
-class TestPositQuantizerObject:
+class TestFactoryQuantizer:
     def test_callable_interface(self, paper_config, rng):
-        quantizer = PositQuantizer(paper_config)
+        quantizer = get_quantizer(paper_config)
         values = rng.standard_normal(50)
         np.testing.assert_array_equal(quantizer(values), quantize(values, paper_config))
 
-    def test_stat_tracking(self, rng):
-        cfg = PositConfig(8, 1)
-        quantizer = PositQuantizer(cfg, track_stats=True)
-        values = np.array([cfg.minpos / 10, 1.0, cfg.maxpos * 10])
-        quantizer(values)
-        assert quantizer.stats["calls"] == 1
-        assert quantizer.stats["elements"] == 3
-        assert quantizer.stats["underflows"] == 1
-        assert quantizer.stats["saturations"] == 1
-        quantizer.reset_stats()
-        assert quantizer.stats["calls"] == 0
-
     def test_invalid_rounding_rejected(self, paper_config):
         with pytest.raises(ValueError):
-            PositQuantizer(paper_config, rounding="nope")
+            get_quantizer(paper_config, rounding="nope")
 
     def test_to_bits_matches_function(self, paper_config, rng):
-        quantizer = PositQuantizer(paper_config)
+        quantizer = get_quantizer(paper_config)
         values = rng.standard_normal(20)
         np.testing.assert_array_equal(quantizer.to_bits(values),
                                       quantize_to_bits(values, paper_config))
