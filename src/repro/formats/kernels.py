@@ -10,14 +10,18 @@ vectorized module functions.  Each kernel is built from precomputed tables:
 * **decode LUT** — all ``2**bits`` codes decoded once through the family's
   vectorized ``from_bits`` function, so ``from_bits`` becomes a single
   masked gather.
-* **encode tables** — the strictly positive representable values form one
-  monotone "code line" shared by posit and float formats (line index 0 is
-  zero).  Encoding is arithmetic, not a binary search: ``np.frexp`` picks a
-  per-binade row, and each row stores ``1/step`` (a power of two, so the
-  multiply is exact) and an index offset such that
-  ``floor(mag / step) + offset`` *is* the round-toward-zero line index.
-  ``np.searchsorted`` is used only at build time: its binary search costs
-  several times the whole per-element budget.
+* **encode bucket table** — the strictly positive representable values form
+  one monotone "code line" shared by posit and float formats (line index 0
+  is zero).  A non-negative float64's bit pattern read as an int64 is
+  monotone in its value, and every positive grid value has the same ``sh``
+  low fraction bits clear, so ``bits >> sh`` keys buckets that each start on
+  a grid value or hold none.  The round-toward-zero line index is then one
+  shift and one gather, ``bucket.take((bits >> sh) - key_lo, mode="clip")``:
+  bucket 0 sits just below ``minpos`` and catches zero, subnormals and
+  underflow, and the clip saturates keys past ``maxpos`` (NaN and inf
+  included).  The table holds 16-bit line indices, ``np.searchsorted`` of
+  each bucket's first value, computed once at build time; posit(16,x)
+  needs 229,378 buckets and a table above ``2**20`` is refused.
 * **rounding tables** — round-to-nearest folds the tie-to-even rule into a
   per-interval threshold (probed from the module functions, so ties behave
   bit-for-bit identically), and stochastic rounding reuses their own
@@ -40,7 +44,6 @@ and checks posit decoding against the scalar :func:`repro.posit.scalar.decode`.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Callable, Optional
 
@@ -69,11 +72,13 @@ KERNEL_MAX_BITS = 16
 _KERNEL_CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 
-#: The per-binade row tables span every exponent ``np.frexp`` can produce
-#: for a finite float64 (denormals bottom out at -1073, the top binade is
-#: 1024), so row selection needs no clip on the hot path.
-_E_MIN = -1100
-_E_MAX = 1100
+#: A line kernel whose bucket table would exceed this many entries is not
+#: built (the format keeps its module functions).  Every 16-bit registry
+#: format fits with room to spare: posit(16,x) needs 229,378 buckets.
+_MAX_BUCKETS = 1 << 20
+
+#: Width of the float64 fraction field.
+_FRACTION_BITS = 52
 
 
 class _KernelUnsupported(Exception):
@@ -200,57 +205,27 @@ class _LineKernel:
         self._line_vals = line_vals
         self._L = line_vals.size
 
-        self._build_rows(line_vals)
+        self._build_buckets(line_vals)
         self._build_rounding_tables(line_vals, ref)
         self._build_output_luts(line_vals, ref)
         self._self_check(line_vals)
 
     # -- build ------------------------------------------------------------
 
-    def _build_rows(self, line_vals: np.ndarray) -> None:
-        m0, e0 = math.frexp(line_vals[1])
-        if m0 != 0.5:
-            raise _KernelUnsupported("smallest positive value must be a power of two")
-        s_min = e0 - 1
-        s_max = math.frexp(line_vals[-1])[1] - 1
-
-        n_rows = _E_MAX - _E_MIN + 1
-        step_inv = np.zeros(n_rows, dtype=np.float64)
-        offset = np.zeros(n_rows, dtype=np.int64)
-        # Binades above the top saturate to the last line index; binades
-        # below the bottom fall to index 0 (zero).  Both via step_inv == 0.
-        offset[(s_max + 1) - _E_MIN + 1:] = self._L - 1
-
-        for s in range(s_min, s_max + 1):
-            row = (s + 1) - _E_MIN  # frexp exponent of binade s is s + 1
-            lo_i = int(np.searchsorted(line_vals, 2.0 ** s, side="left"))
-            hi_i = int(np.searchsorted(line_vals, 2.0 ** (s + 1), side="left"))
-            if hi_i == lo_i:
-                # Empty binade: everything in it truncates to the largest
-                # value below.  (Never hit by the registry families — every
-                # posit/float binade in range is populated — kept so an
-                # exotic registered format degrades correctly, not wrongly.)
-                offset[row] = lo_i - 1
-                continue
-            members = line_vals[lo_i:hi_i]
-            if members[0] != 2.0 ** s:
-                raise _KernelUnsupported(f"binade 2^{s} does not start on its boundary")
-            if members.size > 1:
-                step = float(members[1] - members[0])
-                if (math.frexp(step)[0] != 0.5
-                        or np.any(np.diff(members) != step)
-                        or members[-1] + step != 2.0 ** (s + 1)):
-                    raise _KernelUnsupported(f"binade 2^{s} is not a uniform grid")
-            else:
-                step = 2.0 ** s
-            inv = 1.0 / step
-            if not math.isfinite(inv):
-                raise _KernelUnsupported(f"step 2^{s} too small for an exact inverse")
-            step_inv[row] = inv
-            offset[row] = lo_i - int(round(2.0 ** s * inv))
-
-        self._row_step_inv = step_inv
-        self._row_offset = offset
+    def _build_buckets(self, line_vals: np.ndarray) -> None:
+        # ``sh`` counts the low fraction bits clear in every positive grid
+        # value, so each grid value starts a bucket (see the module docstring).
+        bits = line_vals[1:].view(np.int64)
+        low = int(np.bitwise_or.reduce(bits & ((1 << _FRACTION_BITS) - 1)))
+        sh = (low & -low).bit_length() - 1 if low else _FRACTION_BITS
+        key_lo = (int(bits[0]) >> sh) - 1  # bucket 0 sits just below minpos
+        n = (int(bits[-1]) >> sh) - key_lo + 1
+        if n > _MAX_BUCKETS:
+            raise _KernelUnsupported(f"{n} buckets exceed {_MAX_BUCKETS}")
+        starts = (np.arange(key_lo, key_lo + n, dtype=np.int64) << sh).view(np.float64)
+        self._bucket = (np.searchsorted(line_vals, starts, side="right") - 1).astype(np.int16)
+        self._sh = np.int64(sh)
+        self._key_lo = np.int64(key_lo)
 
     def _build_rounding_tables(self, line_vals: np.ndarray, ref: _ReferenceOps) -> None:
         # Nearest: one threshold per interval [v_l, v_{l+1}).  The midpoint
@@ -295,39 +270,28 @@ class _LineKernel:
         # to itself and every value one ulp below maps to its lower
         # neighbour.  Checking both exhaustively at build time turns any
         # broken assumption into a clean fallback instead of silent drift.
-        idx = self._line_index(line_vals, True)
-        below = self._line_index(np.nextafter(line_vals[1:], 0.0), True)
+        idx = self._line_index(line_vals)
+        below = self._line_index(np.nextafter(line_vals[1:], 0.0))
         if (not np.array_equal(idx, np.arange(self._L))
                 or not np.array_equal(below, np.arange(self._L - 1))):
             raise _KernelUnsupported("encode tables fail the grid self-map check")
 
     # -- hot path ---------------------------------------------------------
 
-    def _line_index(self, mag: np.ndarray, clean: bool) -> np.ndarray:
-        """Round-toward-zero line index of non-negative magnitudes.
+    def _line_index(self, mag: np.ndarray) -> np.ndarray:
+        """Round-toward-zero line index of contiguous non-negative magnitudes.
 
-        NaN/inf lanes (``clean`` is False) cast to garbage indices; every
-        downstream gather clamps via ``take(mode="clip")`` and the caller
-        patches those lanes from the probed specials, so no separate bounds
-        pass is spent on the all-finite fast path.
+        NaN/inf lanes land on the last line index; the caller patches them
+        from the probed specials.
         """
-        _, e = np.frexp(mag)
-        row = e - _E_MIN
-        t = mag * self._row_step_inv.take(row)
-        if clean:
-            lo = t.astype(np.int64) + self._row_offset.take(row)
-        else:
-            with np.errstate(invalid="ignore"):
-                lo = t.astype(np.int64) + self._row_offset.take(row)
-        zero = mag == 0.0
-        if zero.any():
-            lo[zero] = 0
-        return lo
+        key = mag.view(np.int64) >> self._sh
+        key -= self._key_lo
+        return self._bucket.take(key, mode="clip")
 
-    def _pick(self, mag: np.ndarray, mode: str, clean: bool,
+    def _pick(self, mag: np.ndarray, mode: str,
               rng: Optional[np.random.Generator]) -> np.ndarray:
         eff = self._ref.map_mode(mode)
-        lo = self._line_index(mag, clean)
+        lo = self._line_index(mag)
         if eff == "zero":
             return lo
         if eff == "nearest":
@@ -335,8 +299,11 @@ class _LineKernel:
         if eff == "stochastic":
             if rng is None:
                 rng = np.random.default_rng()
-            prob = ((mag - self._line_vals.take(lo, mode="clip"))
-                    / self._gap.take(lo, mode="clip"))
+            # inf lanes give (inf - maxpos) / inf = NaN, which never rounds
+            # up; the caller patches them.
+            with np.errstate(invalid="ignore"):
+                prob = ((mag - self._line_vals.take(lo, mode="clip"))
+                        / self._gap.take(lo, mode="clip"))
             return lo + (rng.random(mag.shape) < prob)
         raise ValueError(f"unknown rounding mode {mode!r}")
 
@@ -349,7 +316,7 @@ class _LineKernel:
         mag = np.abs(flat)
         neg = np.signbit(flat)
         clean = bool(np.isfinite(flat).all())
-        pick = self._pick(mag, mode, clean, rng)
+        pick = self._pick(mag, mode, rng)
         out = self._val_out.take(pick + neg * self._L, mode="clip")
         zero = mag == 0.0
         if zero.any():
@@ -369,7 +336,7 @@ class _LineKernel:
         mag = np.abs(flat)
         neg = np.signbit(flat)
         clean = bool(np.isfinite(flat).all())
-        pick = self._pick(mag, mode, clean, rng)
+        pick = self._pick(mag, mode, rng)
         out = self._code_out.take(pick + neg * self._L, mode="clip")
         if not clean:
             out[np.isnan(flat)] = self._code_nan
@@ -388,7 +355,7 @@ class _LineKernel:
     def table_nbytes(self) -> int:
         return sum(a.nbytes for a in (
             self._decode_lut, self._line_vals, self._thr, self._gap,
-            self._code_out, self._val_out, self._row_step_inv, self._row_offset))
+            self._code_out, self._val_out, self._bucket))
 
     def info(self) -> dict:
         return {

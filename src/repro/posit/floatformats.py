@@ -212,7 +212,9 @@ def float_quantize(x, fmt: FloatFormat, rng: np.random.Generator | None = None,
     scalar_input = arr.ndim == 0
     arr = np.atleast_1d(arr).copy()
 
-    if fmt is FP32 or (fmt.exponent_bits >= 8 and fmt.mantissa_bits >= 23):
+    # Only the binary32 layout itself may take the float32 cast: a wider
+    # field would be rounded or overflowed by it.
+    if fmt.exponent_bits == 8 and fmt.mantissa_bits == 23:
         with np.errstate(over="ignore"):
             result = arr.astype(np.float32).astype(np.float64)
         # The narrow-format path below saturates out-of-range magnitudes

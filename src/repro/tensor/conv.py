@@ -140,7 +140,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
-    def _backward(upstream: np.ndarray) -> None:
+    def _backward(upstream: np.ndarray) -> list:
         grad_out = upstream.reshape(n, c_out, out_h * out_w)  # (N, C_out, L)
         results = []
         if x.requires_grad:
@@ -153,10 +153,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             results.append((weight, grad_w.reshape(weight.shape)))
         if bias is not None and bias.requires_grad:
             results.append((bias, upstream.sum(axis=(0, 2, 3))))
-        out_tensor._backward_results = results  # type: ignore[attr-defined]
+        return results
 
-    out_tensor = Tensor._make(out, parents, _backward, name="conv2d")
-    return out_tensor
+    return Tensor._make(out, parents, _backward, name="conv2d")
 
 
 def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
@@ -174,19 +173,17 @@ def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
     out = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
     out = out.reshape(n, c, out_h, out_w)
 
-    def _backward(upstream: np.ndarray) -> None:
+    def _backward(upstream: np.ndarray) -> list:
         if not x.requires_grad:
-            out_tensor._backward_results = []  # type: ignore[attr-defined]
-            return
+            return []
         grad_cols = np.zeros((n, c, kernel[0] * kernel[1], out_h * out_w), dtype=np.float64)
         up = upstream.reshape(n, c, 1, out_h * out_w)
         np.put_along_axis(grad_cols, argmax[:, :, None, :], up, axis=2)
         grad_cols = grad_cols.reshape(n, c * kernel[0] * kernel[1], out_h * out_w)
         grad_x = col2im(grad_cols, x.shape, kernel, stride, padding)
-        out_tensor._backward_results = [(x, grad_x)]  # type: ignore[attr-defined]
+        return [(x, grad_x)]
 
-    out_tensor = Tensor._make(out, (x,), _backward, name="max_pool2d")
-    return out_tensor
+    return Tensor._make(out, (x,), _backward, name="max_pool2d")
 
 
 def avg_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
@@ -203,18 +200,16 @@ def avg_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
     cols = cols.reshape(n, c, window, out_h * out_w)
     out = cols.mean(axis=2).reshape(n, c, out_h, out_w)
 
-    def _backward(upstream: np.ndarray) -> None:
+    def _backward(upstream: np.ndarray) -> list:
         if not x.requires_grad:
-            out_tensor._backward_results = []  # type: ignore[attr-defined]
-            return
+            return []
         up = upstream.reshape(n, c, 1, out_h * out_w) / window
         grad_cols = np.broadcast_to(up, (n, c, window, out_h * out_w)).copy()
         grad_cols = grad_cols.reshape(n, c * window, out_h * out_w)
         grad_x = col2im(grad_cols, x.shape, kernel, stride, padding)
-        out_tensor._backward_results = [(x, grad_x)]  # type: ignore[attr-defined]
+        return [(x, grad_x)]
 
-    out_tensor = Tensor._make(out, (x,), _backward, name="avg_pool2d")
-    return out_tensor
+    return Tensor._make(out, (x,), _backward, name="avg_pool2d")
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

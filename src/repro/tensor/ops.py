@@ -22,17 +22,16 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def _backward(upstream: np.ndarray) -> None:
+    def _backward(upstream: np.ndarray) -> list:
         results = []
         for t, start, end in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 index = [slice(None)] * upstream.ndim
                 index[axis] = slice(int(start), int(end))
                 results.append((t, upstream[tuple(index)]))
-        out._backward_results = results  # type: ignore[attr-defined]
+        return results
 
-    out = Tensor._make(data, tensors, _backward, name="concatenate")
-    return out
+    return Tensor._make(data, tensors, _backward, name="concatenate")
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -40,15 +39,14 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
 
-    def _backward(upstream: np.ndarray) -> None:
+    def _backward(upstream: np.ndarray) -> list:
         results = []
         for i, t in enumerate(tensors):
             if t.requires_grad:
                 results.append((t, np.take(upstream, i, axis=axis)))
-        out._backward_results = results  # type: ignore[attr-defined]
+        return results
 
-    out = Tensor._make(data, tensors, _backward, name="stack")
-    return out
+    return Tensor._make(data, tensors, _backward, name="stack")
 
 
 def zeros(*shape, requires_grad: bool = False) -> Tensor:

@@ -12,7 +12,10 @@ Design notes
   ("fake quantization"), so the carrier type stays float64 throughout.
 * Each operation builds the output tensor eagerly and attaches a backward
   closure plus references to its parents.  ``Tensor.backward()`` runs a
-  topological sort and accumulates gradients into ``Tensor.grad``.
+  topological sort and accumulates gradients into ``Tensor.grad``.  The
+  closure returns its ``(parent, partial)`` pairs and holds no reference to
+  the output, so a graph has no reference cycle: reference counting frees
+  a training step's intermediates as soon as its output is dropped.
 * Broadcasting is supported for elementwise operations; gradients are
   reduced back to the original shapes with :func:`unbroadcast`.
 * The engine intentionally exposes the same method names used by the rest of
@@ -110,7 +113,6 @@ class Tensor:
         "name",
         "_backward",
         "_parents",
-        "_backward_results",
     )
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
@@ -120,7 +122,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()
         self.name: str = name
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward: Optional[Callable[[np.ndarray], list]] = None
         self._parents: tuple["Tensor", ...] = ()
 
     # ------------------------------------------------------------------ #
@@ -176,9 +178,11 @@ class Tensor:
     def _make(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[[np.ndarray], list],
         name: str = "",
     ) -> "Tensor":
+        """Graph node for ``data``; ``backward(upstream)`` returns the
+        ``(parent, partial)`` pairs and must not reference the new node."""
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, name=name)
         if requires:
@@ -237,10 +241,7 @@ class Tensor:
                 # Leaf tensor: accumulate.
                 node._accumulate(node_grad)
             if node._backward is not None:
-                node._backward(node_grad)
-                # _backward stores partials into a temporary attribute on the
-                # closure via grads dict mutation; see _make wrappers below.
-                for parent, pgrad in node._backward_results:  # type: ignore[attr-defined]
+                for parent, pgrad in node._backward(node_grad):
                     if pgrad is None:
                         continue
                     key = id(parent)
@@ -248,7 +249,6 @@ class Tensor:
                         grads[key] = grads[key] + pgrad
                     else:
                         grads[key] = pgrad
-                del node._backward_results  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------ #
     # Operation wrappers
@@ -261,27 +261,25 @@ class Tensor:
         other = Tensor._ensure(other)
         out_data = forward(self.data, other.data)
 
-        def _backward(upstream: np.ndarray) -> None:
+        def _backward(upstream: np.ndarray) -> list:
             ga, gb = backward(upstream, self.data, other.data, out_data)
             results = []
             if self.requires_grad:
                 results.append((self, unbroadcast(ga, self.data.shape)))
             if other.requires_grad:
                 results.append((other, unbroadcast(gb, other.data.shape)))
-            out._backward_results = results  # type: ignore[attr-defined]
+            return results
 
-        out = Tensor._make(out_data, (self, other), _backward, name=name)
-        return out
+        return Tensor._make(out_data, (self, other), _backward, name=name)
 
     def _unary(self, forward, backward, name) -> "Tensor":
         out_data = forward(self.data)
 
-        def _backward(upstream: np.ndarray) -> None:
+        def _backward(upstream: np.ndarray) -> list:
             g = backward(upstream, self.data, out_data)
-            out._backward_results = [(self, g)] if self.requires_grad else []  # type: ignore[attr-defined]
+            return [(self, g)] if self.requires_grad else []
 
-        out = Tensor._make(out_data, (self,), _backward, name=name)
-        return out
+        return Tensor._make(out_data, (self,), _backward, name=name)
 
     # --- arithmetic ---------------------------------------------------- #
     def __add__(self, other) -> "Tensor":

@@ -9,15 +9,23 @@ identically to the family's vectorized module functions:
   The kernels' decode tables are built from the module functions, so for
   posit the check goes one step further back, to the scalar
   :func:`repro.posit.scalar.decode`.
-* ``to_bits`` / ``quantize`` — exhaustive over the representable grid, every
-  midpoint between adjacent representable values, the one-ulp neighbours of
-  every midpoint (the tie-to-even boundary), seeded log-uniform and normal
-  random draws, and the special values: ``±0``, ``±inf``, ``NaN``, the
-  subnormal range, and magnitudes beyond ``maxpos``.
+* ``to_bits`` / ``quantize`` — exhaustive over the representable grid, the
+  float64 value one ulp below every grid value (the round-toward-zero
+  bucket edge), every midpoint between adjacent representable values, the
+  one-ulp neighbours of every midpoint (the tie-to-even boundary), seeded
+  log-uniform and normal random draws, and the special values: ``±0``,
+  ``±inf``, ``NaN``, the subnormal range, and magnitudes beyond ``maxpos``.
+  For posit the same inputs also go to the scalar
+  :func:`repro.posit.scalar.encode` (every input for ``n <= 8``, a seeded
+  slice above).
 * ``stochastic`` rounding — deterministic on exactly representable inputs,
   and compared distribution-wise (up-rounding frequency per probe point)
   under fixed seeds otherwise, since kernel and oracle consume their
   generators over different index sets.
+
+Besides the registry formats, a few non-registry narrow formats run through
+the same checks, so the kernel's table derivation is exercised on grids no
+workload uses.
 
 The oracle side goes through :func:`repro.formats.reference_ops`, which
 binds the module-level functions directly; the kernel side goes through the
@@ -40,13 +48,17 @@ from repro.formats import (
     get_kernel,
     reference_ops,
 )
-from repro.posit import POSIT_32_2, POSIT_32_3, PositConfig
+from repro.posit import POSIT_32_2, POSIT_32_3, FloatFormat, PositConfig
 from repro.posit import scalar as posit_scalar
+
+#: Narrow formats outside the registry.
+EXTRA_FORMATS = (PositConfig(12, 1), PositConfig(10, 3), FloatFormat(6, 5))
 
 
 def _narrow_formats():
-    """Distinct registry formats with ``bits <= KERNEL_MAX_BITS``."""
-    seen, out = set(), []
+    """Distinct registry formats with ``bits <= KERNEL_MAX_BITS``, plus
+    :data:`EXTRA_FORMATS`."""
+    seen, out = set(), list(EXTRA_FORMATS)
     for fmt in available_formats().values():
         if fmt.bits <= KERNEL_MAX_BITS and fmt not in seen:
             seen.add(fmt)
@@ -81,9 +93,25 @@ def _grid_values(fmt) -> np.ndarray:
     return np.unique(values[np.isfinite(values)])
 
 
+def _specials(fmt) -> np.ndarray:
+    """±0, ±inf, NaN, the subnormal range, and beyond-maxpos magnitudes."""
+    minpos, maxpos = float(fmt.minpos), float(fmt.maxpos)
+    return np.array(
+        [
+            0.0, -0.0, np.inf, -np.inf, np.nan,
+            1e308, -1e308, 5e-324, -5e-324,
+            minpos, -minpos, minpos / 2.0, -minpos / 2.0,
+            minpos / 4.0, -minpos / 4.0,
+            np.nextafter(minpos / 2.0, 0.0), np.nextafter(minpos / 2.0, 1.0),
+            maxpos, -maxpos, maxpos * 2.0, -maxpos * 2.0,
+            np.nextafter(maxpos, np.inf), -np.nextafter(maxpos, np.inf),
+        ]
+    )
+
+
 def _encode_sweep(fmt) -> np.ndarray:
-    """Adversarial encode inputs: grid, midpoints, tie neighbours, randoms,
-    specials (±0, ±inf, NaN, subnormal range, beyond-maxpos magnitudes)."""
+    """Adversarial encode inputs: grid, one ulp below the grid (bucket
+    edges), midpoints, tie neighbours, randoms and :func:`_specials`."""
     grid = _grid_values(fmt)
     mids = 0.5 * (grid[:-1] + grid[1:])
     neighbours = np.concatenate(
@@ -97,22 +125,13 @@ def _encode_sweep(fmt) -> np.ndarray:
     randoms = np.concatenate(
         [log_mag, -log_mag, rng.normal(scale=max(1.0, maxpos / 16.0), size=1024)]
     )
-    specials = np.array(
-        [
-            0.0, -0.0, np.inf, -np.inf, np.nan,
-            1e308, -1e308, 5e-324, -5e-324,
-            minpos, -minpos, minpos / 2.0, -minpos / 2.0,
-            minpos / 4.0, -minpos / 4.0,
-            np.nextafter(minpos / 2.0, 0.0), np.nextafter(minpos / 2.0, 1.0),
-            maxpos, -maxpos, maxpos * 2.0, -maxpos * 2.0,
-            np.nextafter(maxpos, np.inf), -np.nextafter(maxpos, np.inf),
-        ]
-    )
-    return np.concatenate([grid, mids, neighbours, randoms, specials])
+    return np.concatenate([grid, np.nextafter(grid, 0.0), mids, neighbours,
+                           randoms, _specials(fmt)])
 
 
 def test_every_narrow_registry_format_has_a_kernel():
-    """The issue requires kernels for *every* bits<=16 registry format."""
+    """Every bits<=16 registry format (and every extra format) has a kernel,
+    so no check below compares the module functions with themselves."""
     missing = [fmt.spec() for fmt in NARROW_FORMATS if get_kernel(fmt) is None]
     assert not missing, f"no kernel built for: {missing}"
 
@@ -154,6 +173,36 @@ def test_quantize_bit_identity(fmt, mode):
         ref.quantize(x, mode=mode),
         f"{fmt.spec()} quantize[{mode}]",
     )
+
+
+def _assert_matches_scalar_encode(fmt, x, mode) -> None:
+    """``to_bits``/``quantize`` of ``x`` equal the scalar encoder's codes and
+    their scalar decodes."""
+    codes = np.array([posit_scalar.encode(float(v), fmt, rounding=mode) for v in x])
+    np.testing.assert_array_equal(fmt.to_bits(x, mode=mode), codes,
+                                  err_msg=f"{fmt.spec()} to_bits[{mode}]")
+    _assert_same_values(fmt.quantize(x, mode=mode), _scalar_decode(codes, fmt),
+                        f"{fmt.spec()} quantize[{mode}]")
+
+
+NARROW_POSITS = [fmt for fmt in NARROW_FORMATS if isinstance(fmt, PositConfig)]
+NARROW_POSIT_IDS = [fmt.spec() for fmt in NARROW_POSITS]
+#: Posits up to this width are checked against the scalar encoder on the
+#: whole sweep; wider ones on a seeded slice of it, since a scalar
+#: round-to-nearest encode costs tens of microseconds per value.
+SCALAR_FULL_SWEEP_BITS = 8
+SCALAR_SLICE = 4096
+
+
+@pytest.mark.parametrize("mode", DETERMINISTIC_MODES)
+@pytest.mark.parametrize("fmt", NARROW_POSITS, ids=NARROW_POSIT_IDS)
+def test_narrow_posit_encode_matches_scalar(fmt, mode):
+    x = _encode_sweep(fmt)
+    if fmt.bits > SCALAR_FULL_SWEEP_BITS:
+        rng = np.random.default_rng(0x5CA1 + fmt.bits)
+        x = np.concatenate([rng.choice(x, size=SCALAR_SLICE, replace=False),
+                            _specials(fmt)])
+    _assert_matches_scalar_encode(fmt, x, mode)
 
 
 @pytest.mark.parametrize("fmt", NARROW_FORMATS, ids=FORMAT_IDS)
@@ -259,9 +308,4 @@ def test_wide_posit_from_bits_matches_scalar(fmt):
 @pytest.mark.parametrize("mode", DETERMINISTIC_MODES)
 @pytest.mark.parametrize("fmt", WIDE_POSITS, ids=WIDE_IDS)
 def test_wide_posit_encode_matches_scalar(fmt, mode):
-    x = _wide_values(fmt)
-    codes = np.array([posit_scalar.encode(float(v), fmt, rounding=mode) for v in x])
-    np.testing.assert_array_equal(fmt.to_bits(x, mode=mode), codes,
-                                  err_msg=f"{fmt.spec()} to_bits[{mode}]")
-    _assert_same_values(fmt.quantize(x, mode=mode), _scalar_decode(codes, fmt),
-                        f"{fmt.spec()} quantize[{mode}]")
+    _assert_matches_scalar_encode(fmt, _wide_values(fmt), mode)

@@ -14,16 +14,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.formats import kernels
 from repro.formats import (
     KERNEL_MAX_BITS,
     FixedPointFormat,
     FormatQuantizer,
     available_formats,
+    clear_kernel_cache,
     get_kernel,
     get_quantizer,
     kernel_info,
 )
-from repro.posit import POSIT_8_1, POSIT_16_1, POSIT_32_3
+from repro.posit import POSIT_8_1, POSIT_16_1, POSIT_32_3, FloatFormat, PositConfig
 from repro.posit import scalar as posit_scalar
 from repro.posit.quantize import (
     bits_to_float,
@@ -38,8 +40,12 @@ from repro.formats.fixedpoint import (
 )
 
 
+#: Narrow formats outside the registry.
+EXTRA_FORMATS = (PositConfig(12, 1), PositConfig(10, 3), FloatFormat(6, 5))
+
+
 def _narrow_formats():
-    seen, out = set(), []
+    seen, out = set(), list(EXTRA_FORMATS)
     for fmt in available_formats().values():
         if fmt.bits <= KERNEL_MAX_BITS and fmt not in seen:
             seen.add(fmt)
@@ -171,6 +177,21 @@ def test_factory_quantizers_dispatch_to_the_kernel():
     assert np.array_equal(q.from_bits(q.to_bits(x)), q(x))
 
 
+def test_oversized_bucket_table_falls_back_to_module_functions(monkeypatch):
+    fmt = PositConfig(12, 1)  # needs 10,242 buckets
+    monkeypatch.setattr(kernels, "_MAX_BUCKETS", 10_241)
+    clear_kernel_cache()
+    try:
+        assert get_kernel(fmt) is None
+        x = _sample(fmt)
+        assert np.array_equal(fmt.to_bits(x, mode="nearest"),
+                              quantize_to_bits(x, fmt, rounding="nearest"))
+    finally:
+        clear_kernel_cache()
+    monkeypatch.undo()
+    assert get_kernel(fmt) is not None
+
+
 def test_wide_formats_never_get_kernels():
     assert POSIT_32_3.bits > KERNEL_MAX_BITS
     assert get_kernel(POSIT_32_3) is None
@@ -181,7 +202,7 @@ def test_wide_formats_never_get_kernels():
 
 
 def test_kernel_info_reports_every_narrow_format():
-    rows = {row["spec"]: row for row in kernel_info()}
+    rows = {row["spec"]: row for row in kernel_info() + kernel_info(EXTRA_FORMATS)}
     for fmt in NARROW_FORMATS:
         row = rows[fmt.spec()]
         assert row["kind"] in ("line", "fixed")

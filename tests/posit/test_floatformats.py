@@ -12,7 +12,7 @@ from repro.posit import (
     FloatFormat,
     float_quantize,
 )
-from repro.formats import get_quantizer
+from repro.formats import get_quantizer, parse_format
 
 
 class TestFormatConstants:
@@ -45,6 +45,19 @@ class TestFloatQuantize:
         values = rng.standard_normal(100)
         np.testing.assert_array_equal(float_quantize(values, FP32),
                                       values.astype(np.float32).astype(np.float64))
+
+    def test_wider_mantissa_than_fp32_is_not_cast(self):
+        fmt = parse_format("float(8,30)")
+        assert fmt.quantize(1 + 2**-30) == 1 + 2**-30
+
+    def test_wider_exponent_than_fp32_is_not_cast(self):
+        # 1e39 overflows float32 but sits well inside float(9,23): it rounds
+        # to a 24-bit significand instead of saturating.
+        fmt = parse_format("float(9,23)")
+        mantissa, exponent = np.frexp(1e39)
+        expected = np.ldexp(np.round(np.ldexp(mantissa, 24)), exponent - 24)
+        assert fmt.quantize(1e39) == expected
+        assert expected == pytest.approx(1.0000000289e39, rel=1e-10)
 
     def test_fp16_matches_numpy_half(self, rng):
         values = rng.standard_normal(500) * 10

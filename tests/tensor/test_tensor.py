@@ -1,12 +1,25 @@
 """Tests for the autograd Tensor: ops, broadcasting, and gradient correctness."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.tensor import Tensor, is_grad_enabled, no_grad, unbroadcast
+from repro.tensor import (
+    Tensor,
+    avg_pool2d,
+    concatenate,
+    conv2d,
+    is_grad_enabled,
+    max_pool2d,
+    no_grad,
+    stack,
+    unbroadcast,
+)
 
 
 class TestTensorBasics:
@@ -92,6 +105,33 @@ class TestBackwardMechanics:
         x = Tensor([1.0, 2.0], requires_grad=True)
         (x * 2).backward(np.array([1.0, 10.0]))
         np.testing.assert_array_equal(x.grad, [2.0, 20.0])
+
+    @pytest.mark.parametrize("op", [
+        lambda t: t * 2.0,
+        lambda t: t.exp(),
+        lambda t: conv2d(t, Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)),
+        lambda t: max_pool2d(t, 2),
+        lambda t: avg_pool2d(t, 2),
+        lambda t: concatenate([t, t]),
+        lambda t: stack([t, t]),
+    ], ids=["binary", "unary", "conv2d", "max_pool2d", "avg_pool2d",
+            "concatenate", "stack"])
+    def test_dropped_graph_is_freed_without_the_cycle_collector(self, op):
+        """No graph node is part of a reference cycle, so reference counting
+        alone frees a step's intermediates once its output is dropped."""
+        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+        gc.disable()
+        try:
+            mid = op(x)
+            probe = weakref.ref(mid.data)
+            loss = (mid * mid).sum()
+            del mid
+            loss.backward()
+            del loss
+            assert probe() is None
+        finally:
+            gc.enable()
+        assert x.grad is not None
 
 
 class TestArithmeticGradients:
