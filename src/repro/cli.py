@@ -43,7 +43,8 @@ replays before accepting traffic (:mod:`repro.serve`).
 
 ``serve`` runs the adaptive control plane by default: a periodic
 controller autoscales the worker count between ``--min-workers`` and
-``--max-workers`` (never past ``os.cpu_count()``), AIMD-tunes the
+``--max-workers`` (never past the cores the process may use: its
+affinity mask, capped by the cgroup CPU quota), AIMD-tunes the
 coalescing wait against ``--slo-p99-ms``, and sheds overload as HTTP 429 +
 ``Retry-After`` instead of failing requests; ``--no-autoscale`` pins the
 worker count.  ``artifact inspect`` prints an artifact's manifest summary
@@ -193,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="autoscaler floor on worker processes (default: 1)")
     serve.add_argument("--max-workers", type=int, default=None,
                        help="autoscaler ceiling on worker processes "
-                            "(default: --workers; always capped at cpu_count)")
+                            "(default: --workers; always capped at the usable "
+                            "cores: affinity mask and cgroup CPU quota)")
     serve.add_argument("--no-autoscale", action="store_true",
                        help="pin the worker count (the controller still tunes "
                             "the coalescing wait and grades load)")
@@ -462,7 +464,9 @@ def _cmd_serve(args) -> int:
         server = ClusterServer(cluster, host=args.host, port=args.port)
         print(f"serving {args.artifact} on {server.url} "
               f"({args.workers} worker processes, guardrail "
-              f"{'off' if args.no_guardrail else 'on'})")
+              f"{'off' if args.no_guardrail else 'on'}; BLAS threads per "
+              f"worker: {cluster.blas_threads_budget} of "
+              f"{cluster.effective_cores} cores)")
         backend_stop = cluster.stop
         plant = ClusterPlant(cluster)
         tracer = cluster.tracer

@@ -52,6 +52,7 @@ import numpy as np
 from ..obs.tracing import TraceConfig, Tracer
 from .control import load_state as classify_load
 from .engine import AdmissionError, BatchingConfig, GuardrailError, InferenceEngine
+from .host import blas_budget, blas_threads, effective_cores, set_blas_threads
 from .metrics import MetricsCollector, merge_snapshots
 
 __all__ = ["ClusterConfig", "ServeCluster", "ClusterError", "WorkerCrashed"]
@@ -89,16 +90,22 @@ def _cluster_context(name: Optional[str]) -> mp.context.BaseContext:
 
 def _worker_main(index: int, artifact: str, batching: Optional[dict],
                  quantize_activations: bool, verify_guardrail: bool,
-                 conn, tracing: Optional[dict] = None) -> None:
+                 blas_threads_budget: int, conn,
+                 tracing: Optional[dict] = None) -> None:
     """Engine worker process body.
 
-    Handshake first: construct the engine (which replays the guardrail) and
-    report ``ready`` or ``failed`` — a guardrail violation makes the worker
-    exit with a non-zero status without ever serving a request.  Then serve
-    messages off the pipe through a persistent handler pool, so concurrent
-    dispatches coalesce in the engine's micro-batcher exactly like
-    concurrent HTTP clients do in the single-process server.
+    The BLAS thread budget applies first, so the engine loads and replays
+    the guardrail on the pool it will serve with; a forked child inherits
+    the supervisor's pool and a spawned one starts its own, and both are
+    resized here.  Then the handshake: construct the engine (which replays
+    the guardrail) and report ``ready`` or ``failed`` — a guardrail
+    violation makes the worker exit with a non-zero status without ever
+    serving a request.  Then serve messages off the pipe through a
+    persistent handler pool, so concurrent dispatches coalesce in the
+    engine's micro-batcher exactly like concurrent HTTP clients do in the
+    single-process server.
     """
+    set_blas_threads(blas_threads_budget)
     # A terminal Ctrl-C signals the whole foreground process group; shutdown
     # is the supervisor's job (via the pipe), so workers must not die — or
     # spray KeyboardInterrupt tracebacks — on the operator's SIGINT.
@@ -130,7 +137,8 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
         raise SystemExit(1)
 
     reply({"kind": "ready", "worker": index, "pid": os.getpid(),
-           "guardrail": engine.guardrail_status})
+           "guardrail": engine.guardrail_status,
+           "blas_threads": blas_threads()})
     engine.start()
 
     def handle(message: dict) -> None:
@@ -173,6 +181,11 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
                 # Actuation from the supervisor's controller.
                 if "max_wait_ms" in message:
                     engine.set_max_wait_ms(message["max_wait_ms"])
+                if "blas_threads" in message:
+                    # Between batches: never resize the pool under a forward.
+                    threads = message["blas_threads"]
+                    engine.call_between_batches(
+                        lambda: set_blas_threads(threads)).result(timeout=30.0)
                 result = {"worker": index, "max_wait_ms": engine.max_wait_ms}
             elif message["kind"] == "ping":
                 result = {"worker": index, "pid": os.getpid()}
@@ -335,6 +348,11 @@ class ServeCluster:
         self.metrics = MetricsCollector()
         self._max_wait_ms = float((batching or BatchingConfig()).max_wait_ms)
         self._queue_size = int((batching or BatchingConfig()).queue_size)
+        #: The CPU budget every worker's BLAS pool is sized from: cores
+        #: this process may use, and its own pool size, which caps the
+        #: per-worker share (see :attr:`blas_threads_budget`).
+        self.effective_cores = effective_cores()
+        self._blas_pool = blas_threads()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -358,7 +376,7 @@ class ServeCluster:
             args=(handle.index, self.artifact_path,
                   self._batching_payload(),
                   self.quantize_activations, self.verify_guardrail,
-                  child_conn,
+                  self.blas_threads_budget, child_conn,
                   self.tracing.to_dict() if self.tracing else None),
             name=f"repro-serve-worker-{handle.index}",
             daemon=True)
@@ -390,6 +408,15 @@ class ServeCluster:
                     # A worker retired while still starting must not
                     # re-enter the rotation on its late handshake.
                     handle.state = _READY
+                budget = self.blas_threads_budget
+                if message.get("blas_threads") not in (None, budget):
+                    # The target moved while this worker started (scale_to
+                    # re-budgets only live workers).  Reply goes unread.
+                    try:
+                        self._send(handle, {"kind": "control",
+                                            "blas_threads": budget})
+                    except WorkerCrashed:
+                        pass
                 handle.ready_event.set()
                 continue
             if kind == "failed":
@@ -562,9 +589,8 @@ class ServeCluster:
             return least
         return choice
 
-    def _request(self, handle: _WorkerHandle, message: dict,
-                 timeout: float) -> dict:
-        """Send one message to one worker and wait for its reply."""
+    def _send(self, handle: _WorkerHandle, message: dict) -> Future:
+        """Send one message to one worker; the future resolves to its reply."""
         with self._id_lock:
             request_id = next(self._ids)
         message = {**message, "id": request_id}
@@ -588,7 +614,12 @@ class ServeCluster:
             raise WorkerCrashed(f"worker {handle.index} pipe closed") from exc
         if message["kind"] == "predict":
             handle.dispatched += 1
-        return future.result(timeout=timeout)
+        return future
+
+    def _request(self, handle: _WorkerHandle, message: dict,
+                 timeout: float) -> dict:
+        """Send one message to one worker and wait for its reply."""
+        return self._send(handle, message).result(timeout=timeout)
 
     def predict(self, samples: Sequence, timeout: float = 60.0,
                 trace_id: Optional[str] = None) -> dict:
@@ -693,16 +724,32 @@ class ServeCluster:
         """The tuned coalescing wait last broadcast to the workers."""
         return self._max_wait_ms
 
+    @property
+    def blas_threads_budget(self) -> int:
+        """BLAS threads per worker: ``max(1, min(P, C // W))``.
+
+        ``C`` is :attr:`effective_cores`, ``W`` the target worker count and
+        ``P`` this process's own OpenBLAS pool, so an operator's lower
+        ``OPENBLAS_NUM_THREADS`` still wins.  W workers that each kept a
+        pool of C threads would time-slice W x C threads on C cores.
+        """
+        return blas_budget(self._target_workers, self.effective_cores,
+                           self._blas_pool)
+
+    def _broadcast_control(self, **fields) -> None:
+        """Send one ``control`` message to every live worker engine."""
+        for handle in self._live_handles():
+            try:
+                self._request(handle, {"kind": "control", **fields},
+                              timeout=5.0)
+            except (WorkerCrashed, FuturesTimeout, ClusterError, RuntimeError):
+                continue
+
     def set_max_wait_ms(self, value: float) -> float:
         """Broadcast a new coalescing wait to every live worker engine."""
         value = max(0.0, float(value))
         self._max_wait_ms = value  # recorded first: restarts inherit it
-        for handle in self._live_handles():
-            try:
-                self._request(handle, {"kind": "control",
-                                       "max_wait_ms": value}, timeout=5.0)
-            except (WorkerCrashed, FuturesTimeout, ClusterError, RuntimeError):
-                continue
+        self._broadcast_control(max_wait_ms=value)
         return value
 
     def scale_to(self, target: int) -> int:
@@ -713,15 +760,19 @@ class ServeCluster:
         *retires* the least-loaded workers: they leave the dispatch
         rotation immediately, their in-flight requests complete and reply
         normally, and only then does a background drain send the shutdown
-        message — an autoscale-down is invisible to clients.  Returns the
-        delta actually applied (0 when already at target).
+        message — an autoscale-down is invisible to clients.  A new target
+        moves the per-worker BLAS budget: new workers start with it and the
+        live ones are re-budgeted before this returns.  Returns the delta
+        actually applied (0 when already at target).
         """
         target = int(target)
         if target < 1:
             raise ValueError(f"target workers must be >= 1, got {target}")
         if not self.running:
             raise ClusterError("cluster is not running; use start() or a with-block")
+        budget = self.blas_threads_budget
         with self._handles_lock:
+            self._target_workers = target  # first: new workers spawn with it
             active = [handle for handle in self._handles
                       if handle.state in (_STARTING, _READY)]
             delta = target - len(active)
@@ -744,7 +795,8 @@ class ServeCluster:
                         target=self._drain_retired, args=(handle,),
                         name=f"repro-serve-retire-{handle.index}",
                         daemon=True).start()
-            self._target_workers = target
+        if self.blas_threads_budget != budget:
+            self._broadcast_control(blas_threads=self.blas_threads_budget)
         if delta:
             self.metrics.count("scale_up" if delta > 0 else "scale_down")
         return delta
@@ -913,6 +965,8 @@ class ServeCluster:
             **self._artifact_formats(),
             "workers": self._target_workers,
             "alive": len(self._live_handles()),
+            "effective_cores": self.effective_cores,
+            "blas_threads_budget": self.blas_threads_budget,
             "load_state": self.healthz()["status"],
             "max_wait_ms": self._max_wait_ms,
             "restarts": sum(handle.restarts for handle in handles),

@@ -12,9 +12,11 @@ blew p99 out to 190 ms.  This module closes the loop:
   unit tests tick it deterministically) that
 
   - **autoscales** the worker count between ``min_workers`` and
-    ``max_workers`` from measured queue utilization, *capped at the host's
-    core count* — on a core-starved host the cap scales a 2-worker cluster
-    down to 1, which is exactly the recorded regression;
+    ``max_workers`` from measured queue utilization, *capped at the cores
+    this process may use* (:func:`~repro.serve.host.effective_cores`: the
+    affinity mask and the cgroup CPU quota, not the machine's CPU count) —
+    on a core-starved host the cap scales a 2-worker cluster down to 1,
+    which is exactly the recorded regression;
   - **tunes** ``max_wait_ms`` online with an AIMD rule against a p99 SLO:
     additive increase (more coalescing, more throughput) while p99 sits
     comfortably under the SLO, multiplicative decrease the moment it
@@ -42,12 +44,13 @@ and pace against, instead of tail latency they can only suffer.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+from .host import effective_cores
 
 __all__ = ["ControlConfig", "Controller", "EnginePlant", "ClusterPlant",
            "load_state", "LOAD_STATES"]
@@ -196,9 +199,12 @@ class Controller:
     production use.
 
     ``cpu_count`` caps the autoscaler above ``min_workers``: workers
-    beyond the host's cores cannot add MAC throughput, only dispatch
+    beyond the usable cores cannot add MAC throughput, only dispatch
     overhead (the measured 1-vs-2-worker regression on a single core), so
-    the cap applies immediately — no hysteresis for physics.
+    the cap applies immediately — no hysteresis for physics.  It defaults
+    to :func:`~repro.serve.host.effective_cores` (affinity mask capped by
+    the cgroup CPU quota), so ``taskset`` or a container CPU limit lowers
+    the cap where ``os.cpu_count()`` would not.
     """
 
     def __init__(self, plant, config: Optional[ControlConfig] = None,
@@ -208,7 +214,7 @@ class Controller:
         self.config = config or ControlConfig()
         self.clock = clock
         self.cpu_count = int(cpu_count if cpu_count is not None
-                             else (os.cpu_count() or 1))
+                             else effective_cores())
         self.ticks = 0
         self.scale_events: list[dict] = []
         self.last_decision: Optional[dict] = None

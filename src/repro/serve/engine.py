@@ -39,9 +39,10 @@ import os
 import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from ..obs.tracing import TraceConfig, Tracer
 from ..tensor import Tensor, no_grad
 from .artifact import format_breakdown, load_model
 from .control import load_state as classify_load
+from .host import blas_threads
 from .metrics import MetricsCollector
 
 __all__ = ["AdmissionError", "BatchingConfig", "GuardrailError",
@@ -127,7 +129,8 @@ class _Request:
         self.picked_at: Optional[float] = None
 
 
-_SHUTDOWN = object()
+#: Wakes a batcher blocked on an empty queue (stop, a between-batches call).
+_WAKE = object()
 
 #: Latency samples retained for the percentile columns of ``stats()``.
 _LATENCY_WINDOW = 65536
@@ -206,6 +209,8 @@ class InferenceEngine:
         self.metrics = MetricsCollector()
         self._stop_event = threading.Event()
         self._worker: Optional[threading.Thread] = None
+        #: (fn, future) pairs the batcher runs before its next batch.
+        self._calls: deque = deque()
         model_block = self.manifest.get("model") or {}
         shape = model_block.get("input_shape")
         self._input_shape = tuple(int(dim) for dim in shape) if shape else None
@@ -384,15 +389,19 @@ class InferenceEngine:
             self._codec_profiling = False
         if self._worker is not None and self._worker.is_alive():
             self._stop_event.set()
-            try:
-                # Best-effort wake-up for a batcher blocked on an empty
-                # queue; a full queue needs no nudge (the batcher is busy
-                # and polls the event between batches).
-                self._queue.put_nowait(_SHUTDOWN)
-            except queue.Full:
-                pass
+            self._wake()
             self._worker.join(timeout=10.0)
         self._worker = None
+        self._run_calls()  # any posted after the batcher's last pass
+
+    def _wake(self) -> None:
+        # Best-effort wake-up for a batcher blocked on an empty queue; a
+        # full queue needs no nudge (the batcher is busy and polls the
+        # event and the posted calls between batches).
+        try:
+            self._queue.put_nowait(_WAKE)
+        except queue.Full:
+            pass
 
     def __enter__(self) -> "InferenceEngine":
         return self.start()
@@ -471,9 +480,37 @@ class InferenceEngine:
         batch = np.asarray(inputs, dtype=np.float64)
         return self._forward(batch)
 
+    def call_between_batches(self, fn: Callable[[], object]) -> Future:
+        """Run ``fn`` on the batcher thread before its next batch.
+
+        The safe point for work that must not overlap a forward pass, such
+        as resizing the BLAS thread pool: the batcher runs every queued
+        request's forward, so none is inside BLAS while ``fn`` runs.
+        Without a running batcher ``fn`` runs at once.  The returned
+        future resolves to ``fn``'s result or exception.
+        """
+        future: Future = Future()
+        self._calls.append((fn, future))
+        if self._worker is None or not self._worker.is_alive():
+            self._run_calls()
+        else:
+            self._wake()
+        return future
+
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _run_calls(self) -> None:
+        while self._calls:
+            try:
+                fn, future = self._calls.popleft()
+            except IndexError:  # another thread drained it first
+                return
+            try:
+                future.set_result(fn())
+            except Exception as exc:  # noqa: BLE001 - delivered to the caller
+                future.set_exception(exc)
+
     def _forward(self, batch: np.ndarray) -> np.ndarray:
         with no_grad():
             logits = self.model(Tensor(batch))
@@ -513,19 +550,21 @@ class InferenceEngine:
 
         Returns ``None`` when the engine is stopping and the queue has been
         drained — already-queued requests are always served before exit.
-        The shutdown sentinel is only a wake-up nudge; the stop event is
-        the source of truth (a sentinel re-queue could block forever on a
-        saturated queue).
+        The wake sentinel is only a nudge; the stop event is the source of
+        truth (a sentinel re-queue could block forever on a saturated
+        queue).  Posted :meth:`call_between_batches` work runs here, before
+        each wait for a batch's first request.
         """
         first = None
         while first is None:
+            self._run_calls()
             try:
                 first = self._queue.get(timeout=0.05)
             except queue.Empty:
                 if self._stop_event.is_set():
                     return None
                 continue
-            if first is _SHUTDOWN:
+            if first is _WAKE:
                 first = None
         if first.trace is not None:
             first.picked_at = time.perf_counter()
@@ -546,7 +585,7 @@ class InferenceEngine:
                     item = self._queue.get(timeout=remaining)
                 except queue.Empty:
                     break
-            if item is _SHUTDOWN:
+            if item is _WAKE:
                 continue
             if item.trace is not None:
                 item.picked_at = time.perf_counter()
@@ -748,6 +787,9 @@ class InferenceEngine:
             "energy_uj_memory_per_batch": self._memory_uj_per_batch,
             "energy_uj_total": energy,
             "energy_uj_per_request_observed": (energy / requests) if requests else 0.0,
+            # Read back from OpenBLAS (None when numpy is not on it): a
+            # cluster worker's share of the cores, else the process default.
+            "blas_threads": blas_threads(),
             "uptime_s": time.perf_counter() - self._started_at,
             "tracing": self.tracer.summary(),
         }

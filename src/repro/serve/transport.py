@@ -228,6 +228,19 @@ class _ClusterBackend:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Buffer each response and send it in one write when the request ends:
+    # sent as headers, then body, Nagle's algorithm holds a kept-alive
+    # connection's body until the client's delayed ACK, ~40 ms a request.
+    # TCP_NODELAY spares a reply longer than one segment the same wait.
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 Continue must leave now, not with the response:
+        # the client sends the body only after it arrives.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     # Silence per-request stderr logging; stats live in /stats.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature

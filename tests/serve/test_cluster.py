@@ -9,6 +9,7 @@ listener over the cluster.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.serve import (
     run_load,
     train_and_export,
 )
+from repro.serve.host import blas_budget, blas_threads, effective_cores
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -146,6 +148,90 @@ class TestClusterBasics:
 
 
 # --------------------------------------------------------------------- #
+# Per-worker BLAS thread budget
+# --------------------------------------------------------------------- #
+def worker_blas_threads(cluster) -> list:
+    return [row["blas_threads"] for row in cluster.stats()["per_worker"]]
+
+
+class TestBlasBudget:
+    """Each worker's OpenBLAS pool is its share of the cores, whatever the
+    start method, and it follows the target worker count."""
+
+    @staticmethod
+    def expected(workers: int):
+        """The budget for ``workers``, read back as ``None`` off OpenBLAS."""
+        pool = blas_threads()
+        budget = blas_budget(workers, effective_cores(), pool)
+        return budget, (None if pool is None else budget)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_every_worker_runs_the_budget(self, artifact, samples,
+                                          start_method):
+        own_pool = blas_threads()
+        budget, reported = self.expected(2)
+        direct = InferenceEngine(artifact).predict_batch(samples)
+        with ServeCluster(artifact, ClusterConfig(
+                workers=2, mp_context=start_method)) as cluster:
+            stats = cluster.stats()
+            assert stats["effective_cores"] == effective_cores()
+            assert stats["blas_threads_budget"] == budget
+            assert cluster.healthz()["guardrail"] == ["passed", "passed"]
+            assert worker_blas_threads(cluster) == [reported, reported]
+            for worker in (0, 1):
+                served = cluster.predict_on(worker, list(samples))["logits"]
+                assert np.array_equal(np.asarray(served), direct)
+        # The launching process keeps its own pool.
+        assert blas_threads() == own_pool
+
+    def test_scale_to_rebudgets_live_workers(self, artifact, samples):
+        own_pool = blas_threads()
+        errors, done = [], threading.Event()
+        with ServeCluster(artifact, ClusterConfig(workers=2),
+                          batching=BatchingConfig(max_batch=8,
+                                                  max_wait_ms=1.0)) as cluster:
+            def pound():
+                while not done.is_set():
+                    try:
+                        cluster.predict([samples[0]])
+                    except Exception as exc:  # noqa: BLE001 - tallied
+                        errors.append(repr(exc))
+
+            threads = [threading.Thread(target=pound, daemon=True)
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            seen = [worker_blas_threads(cluster)]
+            for target in (1, 2):
+                cluster.scale_to(target)
+                assert cluster.blas_threads_budget == self.expected(target)[0]
+                assert wait_until(
+                    lambda: cluster.healthz()["alive"] == target)
+                seen.append(worker_blas_threads(cluster))
+            done.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        assert errors == [], errors[:3]
+        reported = {workers: self.expected(workers)[1] for workers in (1, 2)}
+        assert seen == [[reported[2]] * 2, [reported[1]], [reported[2]] * 2]
+        assert blas_threads() == own_pool
+
+    def test_worker_started_before_a_rescale_is_rebudgeted(self, artifact):
+        """scale_to(1) while new workers are still starting retires the
+        ready one; the survivor must not keep the 3-worker budget.  Spawned
+        workers start slowly enough for the rescale to land first."""
+        _, reported = self.expected(1)
+        with ServeCluster(artifact, ClusterConfig(
+                workers=1, mp_context="spawn")) as cluster:
+            cluster.scale_to(3)
+            cluster.scale_to(1)
+            assert wait_until(lambda: cluster.healthz()["alive"] == 1)
+            assert wait_until(
+                lambda: worker_blas_threads(cluster) == [reported])
+
+
+# --------------------------------------------------------------------- #
 # Crash detection, restart, failover
 # --------------------------------------------------------------------- #
 class TestClusterSupervision:
@@ -167,8 +253,6 @@ class TestClusterSupervision:
         with ServeCluster(artifact, ClusterConfig(workers=2),
                           batching=BatchingConfig(max_batch=16,
                                                   max_wait_ms=2.0)) as cluster:
-            import threading
-
             def assassin():
                 time.sleep(0.05)
                 os.kill(cluster._handles[0].pid, signal.SIGKILL)

@@ -10,6 +10,8 @@ asserted tick by tick.  The rolling-window metrics collector gets the same
 treatment with a fake monotonic clock.
 """
 
+import os
+
 import pytest
 
 from repro.serve import (
@@ -276,6 +278,15 @@ class TestAutoscaling:
         assert self.controller(plant, cpu_count=1).worker_cap == 1
         assert self.controller(plant, cpu_count=8).worker_cap == 4
         assert self.controller(plant, cpu_count=2).worker_cap == 2
+
+    def test_default_cap_is_the_usable_cores(self, monkeypatch):
+        # ``taskset -c 0`` on a multi-core host: one usable core, whatever
+        # os.cpu_count() says.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        controller = Controller(FakePlant(), ControlConfig(max_workers=4))
+        assert controller.cpu_count == 1
+        assert controller.worker_cap == 1
 
     def test_no_observation_skips(self):
         plant = FakePlant()

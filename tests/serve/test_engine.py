@@ -163,3 +163,40 @@ def test_engine_restart(artifact, samples):
     with engine:
         second = engine.predict(samples[0])
     assert np.array_equal(first, second)
+
+
+def test_call_between_batches_never_overlaps_a_forward(artifact, samples):
+    """The safe point for resizing the BLAS pool: the batcher thread, with
+    no forward in progress; without a batcher the call runs at once."""
+    engine = InferenceEngine(artifact, BatchingConfig(max_batch=4,
+                                                      max_wait_ms=1.0))
+    caller = threading.get_ident()
+    assert engine.call_between_batches(
+        threading.get_ident).result(timeout=1.0) == caller
+    in_forward = threading.Event()
+    forward = engine._forward
+
+    def tracked(batch):
+        in_forward.set()
+        try:
+            return forward(batch)
+        finally:
+            in_forward.clear()
+
+    engine._forward = tracked
+    overlapped = []
+
+    def probe():
+        overlapped.append(in_forward.is_set())
+        return threading.get_ident()
+
+    with engine:
+        futures = [engine.submit(sample) for sample in samples]
+        calls = [engine.call_between_batches(probe) for _ in range(5)]
+        batcher = engine._worker.ident
+        assert [call.result(timeout=10.0) for call in calls] == [batcher] * 5
+        with pytest.raises(ZeroDivisionError):
+            engine.call_between_batches(lambda: 1 / 0).result(timeout=10.0)
+        for future in futures:
+            future.result(timeout=10.0)
+    assert overlapped == [False] * 5

@@ -1,7 +1,11 @@
 """Tests for the HTTP transport, the load generator, and the serve/export CLI."""
 
+import http.client
 import json
 import os
+import socket
+import statistics
+import time
 import urllib.request
 
 import numpy as np
@@ -96,6 +100,47 @@ def test_unknown_path_is_404(server):
     with pytest.raises(ServeClientError) as excinfo:
         HTTPClient(server.url)._request("/nope")
     assert excinfo.value.status == 404
+
+
+def test_keep_alive_requests_do_not_stall(artifact, samples):
+    """Sequential requests on one kept-alive connection answer promptly.
+
+    A response written as two sends (headers, then body) held its body
+    back under Nagle's algorithm until the client's delayed ACK, ~40 ms
+    per request.
+    """
+    engine = InferenceEngine(artifact, BatchingConfig(max_batch=1,
+                                                      max_wait_ms=0.0))
+    body = json.dumps({"inputs": [samples[0].tolist()]})
+    latencies = []
+    with ModelServer(engine) as server:
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        try:
+            for _ in range(12):
+                started = time.perf_counter()
+                connection.request("POST", "/predict", body=body, headers={
+                    "Content-Type": "application/json"})
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200, payload
+        finally:
+            connection.close()
+    assert statistics.median(latencies) < 0.020, latencies
+
+
+def test_expect_100_continue_is_answered_before_the_body(server, samples):
+    body = json.dumps({"inputs": [samples[0].tolist()]}).encode()
+    head = (f"POST /predict HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n")
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as sock:
+        sock.sendall(head.encode())
+        assert sock.recv(64).startswith(b"HTTP/1.1 100")
+        sock.sendall(body)
+        assert sock.recv(4096).startswith(b"HTTP/1.1 200")
 
 
 def test_concurrent_http_load(server, samples):
