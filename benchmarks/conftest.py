@@ -3,8 +3,11 @@
 Every benchmark regenerates one table or figure of the paper (see DESIGN.md's
 per-experiment index).  Besides timing a representative kernel with
 pytest-benchmark, each benchmark writes the regenerated rows to
-``benchmarks/results/<name>.json`` so that EXPERIMENTS.md can be refreshed
-from a single run, and prints them with ``-s``.
+``<name>.json`` and prints them with ``-s``.  A plain test run writes to a
+session temp directory, so it never rewrites the committed tables; a
+regeneration run asks for ``benchmarks/results/`` explicitly::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_codec_profile.py --write-results
 """
 
 from __future__ import annotations
@@ -31,15 +34,19 @@ def _to_jsonable(value):
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Directory where regenerated tables are stored."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(request, tmp_path_factory) -> Path:
+    """Where regenerated tables go: ``benchmarks/results`` with
+    ``--write-results`` (declared in the root ``conftest.py``), else a
+    session temp directory."""
+    if request.config.getoption("--write-results", default=False):
+        RESULTS_DIR.mkdir(exist_ok=True)
+        return RESULTS_DIR
+    return tmp_path_factory.mktemp("results")
 
 
 @pytest.fixture
 def save_result(results_dir):
-    """Write a regenerated table/figure to benchmarks/results and echo it."""
+    """Write a regenerated table/figure to :func:`results_dir` and echo it."""
 
     def _save(name: str, payload) -> None:
         path = results_dir / f"{name}.json"

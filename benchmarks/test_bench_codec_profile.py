@@ -3,8 +3,8 @@
 Regenerates ``benchmarks/results/codec_profile_baseline.json`` through the
 :mod:`repro.obs` profiler's real hook — the same format-class patching a
 traced serving engine uses — so the committed scoreboard tracks what the
-production codec paths cost: the LUT kernels (:mod:`repro.formats.kernels`)
-for ``bits <= 16``, the vectorized module functions above that.
+production codec paths cost: the kernels of :mod:`repro.formats.kernels`,
+LUTs for ``bits <= 16`` and bit-field kernels for posit(32,x) and fp32.
 
 It also **gates** the kernels in-run: posit(8,1)/posit(16,1) per-element
 cost must land within 5x of the fixed-point numpy floor on every op, and

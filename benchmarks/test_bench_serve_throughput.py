@@ -13,17 +13,18 @@ state, the §V memory claim on a real checkpoint.
 A second axis measures the multi-worker tier: the same 64-way closed loop
 against a :class:`~repro.serve.ServeCluster` of 1 and 2 engine *processes*,
 recording rps/p50/p99 per worker count so the scale-out win is measured,
-not asserted from theory.  On a multi-core runner the 2-worker cluster
+not asserted from theory.  With two or more usable cores
+(:func:`repro.serve.host.effective_cores`) the 2-worker cluster
 must at least double the 1-worker cluster's throughput — both rows pay
 the identical dispatch plumbing, so the ratio isolates the thing being
 claimed: each worker's MAC throughput is bounded by its own GIL, and
-processes are how you buy more of it.  On a single-core runner the rows
+processes are how you buy more of it.  On one usable core the rows
 are still recorded but the speedup assertion is skipped — there is
 nothing to parallelize onto.
 
 Two control-plane axes ride along.  A *controlled* 2-worker cluster runs
-the same load with the adaptive controller attached: on a single-core
-runner the core-count cap must scale it down to 1 worker and recover a
+the same load with the adaptive controller attached: on one usable core
+the core-count cap must scale it down to 1 worker and recover a
 single worker's throughput — the measured 2-worker regression this module
 once recorded is now asserted *fixed*.  An *overload* phase drives 4x the
 usual concurrency into a deliberately small admission queue: the excess
@@ -63,6 +64,7 @@ from repro.serve import (
     run_load,
     train_and_export,
 )
+from repro.serve.host import effective_cores
 
 CONCURRENCY = 64
 REQUESTS_PER_CLIENT = 4
@@ -311,6 +313,7 @@ def test_bench_serve_throughput(benchmark, save_result, artifact, bench_rng):
         "size_ratio_vs_fp32": manifest["fp32_state_nbytes"] / artifact_bytes,
         "format": manifest["format"],
         "cpu_count": os.cpu_count(),
+        "effective_cores": effective_cores(),
         "runs": rows,
         "worker_runs": worker_rows,
         "controlled_run": controlled_row,
@@ -330,7 +333,11 @@ def test_bench_serve_throughput(benchmark, save_result, artifact, bench_rng):
 
     single_worker, multi_worker = worker_rows[0], worker_rows[-1]
     assert multi_worker["requests"] == CONCURRENCY * REQUESTS_PER_CLIENT
-    if (os.cpu_count() or 1) >= 2:
+    # The usable cores decide both branches: the affinity mask and the
+    # cgroup quota, not the machine's CPU count (which ``taskset -c 0``
+    # or a container CPU limit leaves unchanged).
+    cores = payload["effective_cores"]
+    if cores >= 2:
         # The scale-out claim, measured: two engine worker processes must
         # at least double one worker process's throughput at 64-way
         # concurrency (both rows pay the same dispatch plumbing, so the
@@ -340,7 +347,7 @@ def test_bench_serve_throughput(benchmark, save_result, artifact, bench_rng):
         assert (multi_worker["throughput_rps"]
                 >= 2.0 * single_worker["throughput_rps"]), worker_rows
 
-    if (os.cpu_count() or 1) == 1:
+    if cores == 1:
         # The recorded regression, fixed: on one core the controller must
         # scale the 2-worker cluster down to 1, and the controlled cluster
         # must serve at least ~a single worker's throughput — never the

@@ -23,8 +23,10 @@ uniform surface:
 * the **codec kernels** — :mod:`repro.formats.kernels` precomputes decode
   LUTs and grid-snap encode tables for every registry format with
   ``bits <= 16`` and serves ``quantize``/``to_bits``/``from_bits`` as
-  whole-array numpy gathers.  They are the only codec for those formats;
-  wider formats use their family's vectorized module functions.
+  whole-array numpy gathers; posits up to 32 bits and fp32 get table-free
+  kernels that work on the float64 bit fields.  They are the only codec
+  for those formats; other wide formats use their family's vectorized
+  module functions.
   :func:`reference_ops` exposes those module functions as the test oracle.
 """
 

@@ -24,7 +24,8 @@ and the hardware accounting can treat "a format" as one opaque value:
 A reusable callable bound to one rounding mode comes from the cached
 :func:`~repro.formats.get_quantizer`, which calls these methods; formats
 with ``bits <= 16`` serve them from the LUT codec kernels
-(:mod:`repro.formats.kernels`), wider ones from their family's vectorized
+(:mod:`repro.formats.kernels`), posit(32,x) and fp32 from its table-free
+bit-field kernels, and other wide formats from their family's vectorized
 module functions.
 
 ``PositConfig`` and ``FloatFormat`` predate this interface and are attached

@@ -1,11 +1,14 @@
-"""Vectorized LUT codec kernels for every registry format with ``bits <= 16``.
+"""Vectorized codec kernels for every registry format.
 
-These kernels are the only production codec for narrow formats: the format
-classes' ``quantize`` / ``to_bits`` / ``from_bits`` methods dispatch here
-whenever a kernel exists for the format and supports the requested rounding
-mode, and every quantizer handed out by :func:`repro.formats.get_quantizer`
-calls those methods.  Wider formats (fp32, posit(32,x)) use their family's
-vectorized module functions.  Each kernel is built from precomputed tables:
+These kernels are the production codec: the format classes' ``quantize`` /
+``to_bits`` / ``from_bits`` methods dispatch here whenever a kernel exists
+for the format and supports the requested rounding mode, and every quantizer
+handed out by :func:`repro.formats.get_quantizer` calls those methods.
+Formats with ``bits <= 16`` get a LUT kernel.  Two table-free "bitfield"
+kernels cover the wide registry formats (see :class:`_PositBitKernel` and
+:class:`_Binary32Kernel`): posits with ``16 < n <= 32`` read the regime,
+exponent and fraction straight off the float64 bit pattern, and the binary32
+layout is a float32 cast.  Each LUT kernel is built from precomputed tables:
 
 * **decode LUT** — all ``2**bits`` codes decoded once through the family's
   vectorized ``from_bits`` function, so ``from_bits`` becomes a single
@@ -39,7 +42,7 @@ check.
 :func:`reference_ops` binds the module functions directly and stays the
 test oracle: ``tests/formats/test_kernel_differential.py`` proves the
 kernels bit-identical to it for every supported format and rounding mode,
-and checks posit decoding against the scalar :func:`repro.posit.scalar.decode`.
+and checks posit coding against the scalar :mod:`repro.posit.scalar` codec.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ __all__ = [
     "reference_ops",
 ]
 
-#: Kernels are built for formats up to this storage width: a full decode LUT
-#: is at most 2**16 float64 entries (512 KiB) and the encode-side tables are
-#: of the same order, so the whole registry costs a few MiB.
+#: LUT kernels are built for formats up to this storage width: a full decode
+#: LUT is at most 2**16 float64 entries (512 KiB) and the encode-side tables
+#: are of the same order, so the whole registry costs a few MiB.  Wider
+#: formats get a table-free kernel or none.
 KERNEL_MAX_BITS = 16
 
 #: format -> kernel instance (or None for unsupported formats).
@@ -79,6 +83,21 @@ _MAX_BUCKETS = 1 << 20
 
 #: Width of the float64 fraction field.
 _FRACTION_BITS = 52
+
+#: The float64 exponent bias in place (``1.0``'s bit pattern), the magnitude
+#: mask and the sign bit, all as int64.
+_F64_BIAS = np.int64(1023 << _FRACTION_BITS)
+_F64_ABS = np.int64((1 << 63) - 1)
+_F64_SIGN = np.int64(-(1 << 63))
+
+#: The posit bitfield kernel walks its input in blocks of this many elements:
+#: each temporary is then 64 KiB, stays in cache and is recycled by the heap,
+#: where whole-array temporaries would fault in fresh pages on every call.
+_BLOCK = 8192
+
+#: The widest posit the bitfield kernel serves (the differential harness pins
+#: posit(32,x)); wider posits keep the module functions.
+_POSIT_BITFIELD_MAX_BITS = 32
 
 
 class _KernelUnsupported(Exception):
@@ -413,9 +432,262 @@ class _FixedKernel:
         return f"_FixedKernel({self.fmt.spec()})"
 
 
+class _BitfieldKernel:
+    """Shared reporting of the table-free wide kernels."""
+
+    def info(self) -> dict:
+        return {
+            "spec": self.fmt.spec(),
+            "bits": self.fmt.bits,
+            "kind": "bitfield",
+            "decode_entries": 0,
+            "line_entries": 0,
+            "table_bytes": 0,
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}({self.fmt.spec()})"
+
+
+class _PositBitKernel(_BitfieldKernel):
+    """Table-free codec for posits with ``16 < n <= 32``, on the float64 bits.
+
+    A magnitude's float64 pattern ``u`` reads as ``t = u - bits(1.0) =
+    (E << 52) | fraction`` with ``E`` the unbiased exponent, so the regime is
+    ``k = t >> (52 + es)`` and ``t``'s low ``52 + es`` bits are the posit's
+    exponent field followed by its fraction.  The posit keeps all but the
+    ``s = 52 + es - (remaining bits after the regime)`` lowest of them, so:
+
+    * ``quantize`` rounds ``u`` itself at bit ``s`` and puts the sign back;
+      a carry runs into the float64 exponent exactly as the posit code
+      carries into the next exponent or regime;
+    * ``to_bits`` adds the same rounded field to the regime's base code (a
+      power of two below one, ``2**(n-1)`` minus a power of two from one
+      up) and negates negatives in two's complement;
+    * ``from_bits`` finds the regime run as the bit length of the
+      first-bit-normalized body (via the float64 cast) and assembles
+      ``((E + 1023) << 52) | fraction``.
+
+    Round-to-nearest breaks ties toward the even *posit code*, whose last
+    bit is bit ``s`` of ``t``.  That is the unbiased exponent's last bit when
+    the posit keeps no fraction bits, the inverse of the biased float64 bit
+    there (1023 is odd).
+
+    The integer path serves the "fast" regimes, which keep every exponent
+    bit and put the code's last bit inside the exponent|fraction field.  The
+    remaining lanes are rare: zeros (code 0), and NaN, ±inf, magnitudes
+    below ``minpos`` or at and above ``maxpos``, and the outermost regimes.
+    Those regimes keep fewer than ``es`` exponent bits, so the oracle rounds
+    at the arithmetic midpoint of two neighbours that are whole binades
+    apart, not at a bit boundary.  They go through the module functions.
+    Stochastic rounding also stays there (:meth:`supports`), so a seeded
+    run keeps its random stream.
+    """
+
+    def __init__(self, fmt: PositConfig, ref: _ReferenceOps):
+        n, es = fmt.n, fmt.es
+        body = n - 1
+        self.fmt = fmt
+        self._ref = ref
+        # Fast regimes leave at least max(es, 1) bits after the regime: with
+        # rw regime bits that is k in [k_lo, k_hi] below.
+        keep = max(es, 1)
+        k_lo, k_hi = keep + 1 - body, body - keep - 2
+        lo = ((k_lo << es) + 1023) << _FRACTION_BITS
+        hi = ((((k_hi + 1) << es) + 1023) << _FRACTION_BITS) - 1
+        self._fast_lo = np.int64(lo)
+        self._fast_span = np.uint64(hi - lo)
+        self._field_bits = np.int64(_FRACTION_BITS + es)
+        self._field = np.int64((1 << (_FRACTION_BITS + es)) - 1)
+        # With run = k for k >= 0 and -k - 1 below (rw = run + 2 regime bits
+        # either way), the dropped count is s = run + drop0 and the regime's
+        # base code is 2**body - 2**(rem + 1) or 2**rem, rem = body - 2 - run.
+        self._drop0 = np.int64(_FRACTION_BITS + es + 2 - body)
+        self._rem1 = np.int64(body - 1)
+        self._top = np.int64(1 << body)
+        self._mask = np.int64((1 << n) - 1)
+        # Decode: sign-extend the code from n bits and the body from n - 1.
+        self._wrap = np.int64(64 - n)
+        self._wrap_body = np.int64(65 - n)
+        self._k0 = np.int64(body + 1022)
+        self._shift0 = np.int64(_FRACTION_BITS + es + 1 + 1022)
+        self._minpos_bits = np.float64(fmt.minpos).view(np.int64)
+
+    def supports(self, mode: str) -> bool:
+        return mode in ("zero", "nearest")
+
+    # -- encode -----------------------------------------------------------
+
+    def quantize(self, x, mode: str, rng: Optional[np.random.Generator] = None):
+        return self._encode(x, mode, codes=False)
+
+    def to_bits(self, x, mode: str, rng: Optional[np.random.Generator] = None):
+        return self._encode(x, mode, codes=True)
+
+    def _encode(self, x, mode: str, codes: bool):
+        if not self.supports(mode):
+            raise ValueError(f"the posit bitfield kernel does not serve mode {mode!r}")
+        arr = np.asarray(x, dtype=np.float64)
+        raw = arr.ravel().view(np.int64)
+        out = np.empty_like(raw)
+        for start in range(0, raw.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            self._encode_block(raw[block], out[block], mode, codes)
+        if not codes:
+            out = out.view(np.float64)
+        return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def _encode_block(self, raw, out, mode: str, codes: bool) -> None:
+        mag = raw & _F64_ABS
+        odd = np.subtract(mag, self._fast_lo).view(np.uint64) > self._fast_span
+        t = mag - _F64_BIAS
+        run = t >> self._field_bits          # the regime k
+        below_one = run >> 63                # -1 where k < 0
+        run ^= below_one                     # k, or -k - 1
+        drop = run + self._drop0
+        acc = t & self._field if codes else mag
+        if mode == "nearest":
+            # Round half to even on the code: add half - 1 plus the code's
+            # last bit (bit ``drop`` of t), then truncate.
+            half = np.left_shift(1, drop - 1)
+            t >>= drop
+            t &= 1
+            half += t
+            half -= 1
+            acc += half
+        acc >>= drop
+        if codes:
+            base = np.left_shift(1, self._rem1 - run + below_one)
+            np.invert(below_one, out=run)
+            run &= self._top
+            run -= base
+            acc += np.abs(run, out=run)      # the regime's base code
+            sign = raw >> 63
+            acc ^= sign                      # two's complement negatives
+            acc &= self._mask
+            np.subtract(acc, sign, out=out)
+        else:
+            acc <<= drop
+            np.bitwise_or(acc, raw & _F64_SIGN, out=out)
+        if odd.any():
+            lanes = np.flatnonzero(odd)
+            out[lanes] = self._encode_edge(raw[lanes], mode, codes)
+
+    def _encode_edge(self, raw, mode: str, codes: bool) -> np.ndarray:
+        """Lanes outside the fast regimes: ±0 here, the rest via the oracle."""
+        out = np.zeros(raw.size, dtype=np.int64)  # code 0 and +0.0 alike
+        live = (raw & _F64_ABS) != 0
+        if live.any():
+            x = raw[live].view(np.float64)
+            if codes:
+                out[live] = self._ref.to_bits(x, mode)
+            else:
+                out[live] = np.asarray(self._ref.quantize(x, mode)).view(np.int64)
+        return out
+
+    # -- decode -----------------------------------------------------------
+
+    def from_bits(self, bits):
+        arr = np.asarray(bits, dtype=np.int64)
+        flat = arr.ravel()
+        out = np.empty(flat.size, dtype=np.int64)
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            self._decode_block(flat[block], out[block])
+        out = out.view(np.float64)
+        return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def _decode_block(self, bits, out) -> None:
+        code = bits << self._wrap
+        code >>= self._wrap                  # the n-bit code, sign-extended
+        body = np.abs(code)                  # NaR's body reads 2**(n-1)
+        run = body << self._wrap_body
+        run >>= self._wrap_body              # negative iff the regime is ones
+        ones = run >> 63
+        run ^= ones                          # the regime as leading zeros
+        # Bit length of the normalized body, + 1022: the float64 exponent
+        # of its exact cast (clamped for the all-ones body, maxpos).
+        width = run.astype(np.float64).view(np.int64)
+        width >>= _FRACTION_BITS
+        np.maximum(width, 1022, out=width)
+        scale = width - self._k0
+        scale ^= ones                        # k
+        scale <<= self._field_bits
+        np.subtract(self._shift0, width, out=width)
+        np.left_shift(body, width, out=out)  # exponent | fraction at the top
+        out &= self._field
+        out += scale
+        out += _F64_BIAS
+        # Zero and NaR both assemble useed**-(n-1), below minpos.
+        special = out < self._minpos_bits
+        code &= _F64_SIGN
+        out |= code
+        if special.any():
+            lanes = np.flatnonzero(special)
+            zero = (bits[lanes] & self._mask) == 0
+            out[lanes] = np.where(zero, 0.0, np.nan).view(np.int64)
+
+
+class _Binary32Kernel(_BitfieldKernel):
+    """Codec for the binary32 layout ``FloatFormat(8, 23)``: a float32 cast.
+
+    It follows the oracle's binary32 branch of :func:`float_quantize`: the
+    cast rounds, magnitudes past the float32 maximum (and ±inf) saturate to
+    it, NaN stays NaN, and the rounding mode is ignored, so no mode draws
+    from ``rng``.  ``to_bits`` is the float32 bit pattern with the oracle's
+    canonical zero (``-0.0`` encodes as 0) and NaN code ``0x7FC00000``;
+    ``from_bits`` decodes every all-ones exponent, ±inf included, to +NaN.
+    """
+
+    _NAN_CODE = 0x7FC00000
+
+    def __init__(self, fmt: FloatFormat):
+        self.fmt = fmt
+        self._max = fmt.max_value
+
+    def supports(self, mode: str) -> bool:
+        return True
+
+    def _cast(self, x):
+        arr = np.asarray(x, dtype=np.float64)
+        # Clipping first saturates what the cast would overflow to ±inf.
+        with np.errstate(invalid="ignore"):  # signalling NaN inputs
+            return arr, np.clip(arr.ravel(), -self._max, self._max).astype(np.float32)
+
+    def quantize(self, x, mode: str, rng: Optional[np.random.Generator] = None):
+        arr, single = self._cast(x)
+        out = single.astype(np.float64)
+        return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def to_bits(self, x, mode: str, rng: Optional[np.random.Generator] = None):
+        arr, single = self._cast(x)
+        single += np.float32(0.0)            # -0.0 + 0.0 is +0.0
+        out = single.view(np.uint32).astype(np.int64)
+        nan = np.isnan(single)
+        if nan.any():
+            out[nan] = self._NAN_CODE
+        return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def from_bits(self, bits):
+        arr = np.asarray(bits, dtype=np.int64)
+        single = (arr.ravel() & 0xFFFFFFFF).astype(np.uint32).view(np.float32)
+        with np.errstate(invalid="ignore"):  # signalling NaN codes
+            out = single.astype(np.float64)
+        finite = np.isfinite(single)
+        if not finite.all():
+            out[~finite] = np.nan
+        return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
+
+
 def _build_kernel(fmt):
     ref = reference_ops(fmt)
-    if ref is None or fmt.bits > KERNEL_MAX_BITS:
+    if ref is None:
+        return None
+    if fmt.bits > KERNEL_MAX_BITS:
+        if isinstance(fmt, PositConfig) and fmt.bits <= _POSIT_BITFIELD_MAX_BITS:
+            return _PositBitKernel(fmt, ref)
+        if isinstance(fmt, FloatFormat) and (fmt.exponent_bits, fmt.mantissa_bits) == (8, 23):
+            return _Binary32Kernel(fmt)
         return None
     try:
         if isinstance(fmt, FixedPointFormat):
@@ -428,7 +700,8 @@ def _build_kernel(fmt):
 def get_kernel(fmt):
     """The (cached, lazily built) kernel for ``fmt``, or ``None``.
 
-    Unsupported formats — ``bits > 16``, unknown families, or formats whose
+    Unsupported formats — posits above 32 bits, wide floats other than
+    binary32, wide fixed point, unknown families, or narrow formats whose
     value grid violates the table assumptions — cache ``None`` and keep the
     vectorized module functions.
     """

@@ -138,9 +138,10 @@ class PositConfig:
                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Snap ``x`` onto this posit grid (Algorithm 1 when ``mode="zero"``).
 
-        Served by the LUT kernel (:mod:`repro.formats.kernels`) for
-        ``n <= 16``; wider formats, and modes no kernel serves, use the
-        vectorized functions of :mod:`repro.posit.quantize`.
+        Served by a codec kernel (:mod:`repro.formats.kernels`): a LUT for
+        ``n <= 16``, the float64 bit fields up to ``n = 32``.  Wider
+        formats, and modes no kernel serves (stochastic above 16 bits), use
+        the vectorized functions of :mod:`repro.posit.quantize`.
         """
         from repro.formats.kernels import active_kernel
 

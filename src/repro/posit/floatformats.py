@@ -136,8 +136,9 @@ class FloatFormat:
         ``mode`` is ``"nearest"`` or ``"stochastic"``; posit's ``"zero"``
         mode is accepted and mapped to ``"nearest"`` (the convention the
         policy layer has always used for float baselines).  Formats of up
-        to 16 bits are served by the LUT kernel
-        (:mod:`repro.formats.kernels`); wider ones by the module functions.
+        to 16 bits are served by a LUT kernel and the binary32 layout by a
+        float32-cast kernel (:mod:`repro.formats.kernels`); other wide
+        formats by the module functions.
         """
         from repro.formats.kernels import active_kernel
 

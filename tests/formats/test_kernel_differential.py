@@ -32,9 +32,15 @@ binds the module-level functions directly; the kernel side goes through the
 *format methods*, so the dispatch layer is exercised end-to-end, not just
 the kernel object.
 
-The 32-bit posits have no kernel: their codec *is* the vectorized module
-functions, checked here on seeded sweeps against the scalar
-:func:`~repro.posit.scalar.encode` / :func:`~repro.posit.scalar.decode`.
+The wide registry formats have table-free bitfield kernels, held to the
+same bit-identity against the module functions: posit(32,2) and posit(32,3)
+in ``zero`` and ``nearest`` on seeded sweeps, every code of the outermost 64
+bodies at each end with its midpoints and one-ulp neighbours (the regimes
+that keep fewer than ``es`` exponent bits), and the exact ties where the
+posit keeps no fraction bits; fp32 in every mode on its specials.  The posit
+sweeps also go to the scalar :func:`~repro.posit.scalar.encode` /
+:func:`~repro.posit.scalar.decode`.  Posit ``stochastic`` stays on the
+module function, so a seeded call matches it draw for draw.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from repro.formats import (
     get_kernel,
     reference_ops,
 )
-from repro.posit import POSIT_32_2, POSIT_32_3, FloatFormat, PositConfig
+from repro.posit import FP32, POSIT_32_2, POSIT_32_3, FloatFormat, PositConfig
 from repro.posit import scalar as posit_scalar
 
 #: Narrow formats outside the registry.
@@ -264,7 +270,8 @@ def test_stochastic_distribution_matches(fmt):
 
 
 # --------------------------------------------------------------------------
-# 32-bit posits: the vectorized module functions against the scalar codec
+# Wide formats: the bitfield kernels against the module functions, and the
+# 32-bit posits against the scalar codec
 # --------------------------------------------------------------------------
 
 WIDE_POSITS = (POSIT_32_2, POSIT_32_3)
@@ -298,6 +305,88 @@ def _wide_values(fmt) -> np.ndarray:
     return np.concatenate([randoms, lo, -lo, mids, -mids, specials])
 
 
+def _edge_bodies(fmt) -> np.ndarray:
+    """The outermost 64 positive bodies at each end: minpos, maxpos and the
+    regimes that keep fewer than ``es`` exponent bits."""
+    top = fmt.nar_pattern - 1  # maxpos
+    return np.concatenate([np.arange(1, 65), np.arange(top - 63, top + 1)]).astype(np.int64)
+
+
+def _edge_values(fmt) -> np.ndarray:
+    """Every edge body's value, the midpoints to its upper neighbour, and the
+    one-ulp neighbours of both, with either sign."""
+    bodies = _edge_bodies(fmt)
+    lo = _scalar_decode(bodies, fmt)
+    hi = _scalar_decode(np.minimum(bodies + 1, fmt.nar_pattern - 1), fmt)
+    points = np.concatenate([lo, 0.5 * (lo + hi)])
+    x = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, np.inf)])
+    return np.concatenate([x, -x])
+
+
+def _fraction_free_ties(fmt) -> np.ndarray:
+    """Exact ties between neighbours one binade apart: the regimes where the
+    posit keeps every exponent bit and no fraction bit.  The even code there
+    is the one with an even *unbiased* exponent."""
+    bodies = np.concatenate([np.arange(1, 4096), np.arange(fmt.nar_pattern - 4096,
+                                                          fmt.nar_pattern - 1)])
+    ref = reference_ops(fmt)
+    lo, hi = ref.from_bits(bodies), ref.from_bits(bodies + 1)
+    ties = 1.5 * lo[hi == 2.0 * lo]
+    assert ties.size >= 2 * (1 << fmt.es), fmt.spec()  # one regime at each end
+    return np.concatenate([ties, -ties])
+
+
+def _wide_posit_sweep(fmt) -> np.ndarray:
+    """``_wide_values`` plus the edge and tie sets above and a seeded sweep
+    of the fast regimes: log-uniform draws, and random bodies' midpoints with
+    their one-ulp neighbours."""
+    rng = np.random.default_rng(0x32F + fmt.es)
+    span = fmt.max_exponent
+    draws = np.exp2(rng.uniform(-span, span, size=8192))
+    ref = reference_ops(fmt)
+    body = rng.integers(1, fmt.nar_pattern - 1, size=2048)
+    mids = 0.5 * (ref.from_bits(body) + ref.from_bits(body + 1))
+    fast = np.concatenate([draws, mids, np.nextafter(mids, 0.0), np.nextafter(mids, np.inf)])
+    return np.concatenate([_wide_values(fmt), _edge_values(fmt), _fraction_free_ties(fmt),
+                           fast, -fast])
+
+
+@pytest.mark.parametrize("mode", DETERMINISTIC_MODES)
+@pytest.mark.parametrize("fmt", WIDE_POSITS, ids=WIDE_IDS)
+def test_wide_posit_kernel_bit_identity(fmt, mode):
+    ref = reference_ops(fmt)
+    x = _wide_posit_sweep(fmt)
+    np.testing.assert_array_equal(fmt.to_bits(x, mode=mode), ref.to_bits(x, mode=mode),
+                                  err_msg=f"{fmt.spec()} to_bits[{mode}]")
+    _assert_same_values(fmt.quantize(x, mode=mode), ref.quantize(x, mode=mode),
+                        f"{fmt.spec()} quantize[{mode}]")
+
+
+@pytest.mark.parametrize("fmt", WIDE_POSITS, ids=WIDE_IDS)
+def test_wide_posit_from_bits_matches_oracle(fmt):
+    codes = np.concatenate([_wide_codes(fmt), _edge_bodies(fmt),
+                            fmt.code_count - _edge_bodies(fmt)])
+    _assert_same_values(fmt.from_bits(codes), reference_ops(fmt).from_bits(codes),
+                        f"{fmt.spec()} from_bits")
+
+
+@pytest.mark.parametrize("fmt", WIDE_POSITS, ids=WIDE_IDS)
+def test_wide_posit_stochastic_stays_on_the_module_function(fmt):
+    """No kernel serves posit stochastic rounding, so one seed gives the
+    module function's result draw for draw."""
+    assert get_kernel(fmt).supports("stochastic") is False
+    ref = reference_ops(fmt)
+    x = _wide_values(fmt)
+    x = x[~(np.abs(x) == 1e308)]  # the oracle's draw / minpos overflows there
+    np.testing.assert_array_equal(
+        fmt.to_bits(x, mode="stochastic", rng=np.random.default_rng(5)),
+        ref.to_bits(x, mode="stochastic", rng=np.random.default_rng(5)))
+    _assert_same_values(
+        fmt.quantize(x, mode="stochastic", rng=np.random.default_rng(6)),
+        ref.quantize(x, mode="stochastic", rng=np.random.default_rng(6)),
+        f"{fmt.spec()} quantize[stochastic]")
+
+
 @pytest.mark.parametrize("fmt", WIDE_POSITS, ids=WIDE_IDS)
 def test_wide_posit_from_bits_matches_scalar(fmt):
     codes = _wide_codes(fmt)
@@ -309,3 +398,57 @@ def test_wide_posit_from_bits_matches_scalar(fmt):
 @pytest.mark.parametrize("fmt", WIDE_POSITS, ids=WIDE_IDS)
 def test_wide_posit_encode_matches_scalar(fmt, mode):
     _assert_matches_scalar_encode(fmt, _wide_values(fmt), mode)
+
+
+def _binary32_values() -> np.ndarray:
+    """fp32 specials: signed zeros, infinities and NaNs, float64 values past
+    the float32 range, the float32 maximum and the float64 values that round
+    to it or past it, ties at half the smallest subnormal, float64
+    subnormals, plus seeded draws over the whole float32 range."""
+    f32 = np.finfo(np.float32)
+    top = float(f32.max)
+    half_ulp = 2.0 ** (127 - 24)  # half the float32 ulp at the maximum
+    tiny = FP32.min_subnormal
+    edges = np.array([
+        0.0, np.inf, np.nan, 1e308, 1e39, top,
+        np.nextafter(top, np.inf), top + half_ulp,  # a tie: rounds past max
+        np.nextafter(top + half_ulp, 0.0), np.nextafter(top + half_ulp, np.inf),
+        tiny, tiny / 2.0, 1.5 * tiny, 2.5 * tiny,   # ties at half a subnormal
+        np.nextafter(tiny / 2.0, 0.0), np.nextafter(tiny / 2.0, 1.0),
+        float(f32.smallest_normal), 5e-324, 1e-310, 1e-45,
+    ])
+    rng = np.random.default_rng(0xF32)
+    draws = np.exp2(rng.uniform(-152.0, 130.0, size=4096)) * rng.uniform(1.0, 2.0, size=4096)
+    x = np.concatenate([edges, draws, rng.normal(size=1024)])
+    return np.concatenate([x, -x])
+
+
+@pytest.mark.parametrize("mode", ("zero", "nearest", "stochastic"))
+def test_binary32_kernel_bit_identity(mode):
+    """The oracle's binary32 branch ignores the mode and draws nothing; the
+    kernel must do the same, for every mode."""
+    ref = reference_ops(FP32)
+    x = _binary32_values()
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    np.testing.assert_array_equal(FP32.to_bits(x, mode=mode, rng=rng),
+                                  ref.to_bits(x, mode=mode),
+                                  err_msg=f"fp32 to_bits[{mode}]")
+    _assert_same_values(FP32.quantize(x, mode=mode, rng=rng), ref.quantize(x, mode=mode),
+                        f"fp32 quantize[{mode}]")
+    assert rng.bit_generator.state == state, "the fp32 kernel drew from rng"
+
+
+def test_binary32_from_bits_matches_oracle():
+    rng = np.random.default_rng(0xF32B)
+    specials = np.array([0x7F800000, 0xFF800000, 0xFFC00000, 0x7FC00000, 0x80000000,
+                         0x00000001, 0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F800001])
+    codes = np.concatenate([rng.integers(0, 1 << 32, size=4096), specials]).astype(np.int64)
+    decoded = FP32.from_bits(codes)
+    _assert_same_values(decoded, reference_ops(FP32).from_bits(codes), "fp32 from_bits")
+    # Every all-ones exponent decodes to +NaN; the negative zero code to -0.0.
+    for code in (0x7F800000, 0xFF800000, 0xFFC00000):
+        value = FP32.from_bits(np.int64(code))
+        assert np.isnan(value) and not np.signbit(value), hex(code)
+    minus_zero = FP32.from_bits(np.int64(0x80000000))
+    assert minus_zero == 0.0 and np.signbit(minus_zero)

@@ -5,8 +5,8 @@ file proves kernel == oracle; this one proves the invariants every codec
 path must satisfy, that array metadata survives the kernel's ravel/reshape
 round trip, that the factory's quantizers dispatch to the kernels, and that
 the module-level entry points stay alive and callable, because they *are*
-the oracle (and the only codec for ``posit(32,x)`` and fp32, which sit above
-``KERNEL_MAX_BITS``; pinned below).
+the oracle.  The invariants run on the wide bitfield kernels (``posit(32,x)``
+and fp32, above ``KERNEL_MAX_BITS``) as well.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.formats import (
     get_quantizer,
     kernel_info,
 )
-from repro.posit import POSIT_8_1, POSIT_16_1, POSIT_32_3, FloatFormat, PositConfig
+from repro.posit import FP32, POSIT_8_1, POSIT_16_1, POSIT_32_3, FloatFormat, PositConfig
 from repro.posit import scalar as posit_scalar
 from repro.posit.quantize import (
     bits_to_float,
@@ -55,6 +55,11 @@ def _narrow_formats():
 
 NARROW_FORMATS = _narrow_formats()
 FORMAT_IDS = [fmt.spec() for fmt in NARROW_FORMATS]
+#: The registry formats above KERNEL_MAX_BITS, served by bitfield kernels.
+WIDE_FORMATS = sorted({fmt for fmt in available_formats().values()
+                       if fmt.bits > KERNEL_MAX_BITS}, key=lambda f: f.spec())
+ALL_FORMATS = NARROW_FORMATS + WIDE_FORMATS
+ALL_IDS = [fmt.spec() for fmt in ALL_FORMATS]
 
 
 def _sample(fmt, size=2048, seed=42):
@@ -72,7 +77,7 @@ def _sample(fmt, size=2048, seed=42):
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["zero", "nearest"])
-@pytest.mark.parametrize("fmt", NARROW_FORMATS, ids=FORMAT_IDS)
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=ALL_IDS)
 def test_round_trip_from_bits_of_to_bits_is_quantize(fmt, mode):
     x = _sample(fmt)
     if isinstance(fmt, FixedPointFormat):
@@ -91,7 +96,7 @@ def test_round_trip_from_bits_of_to_bits_is_quantize(fmt, mode):
 
 
 @pytest.mark.parametrize("mode", ["zero", "nearest"])
-@pytest.mark.parametrize("fmt", NARROW_FORMATS, ids=FORMAT_IDS)
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=ALL_IDS)
 def test_quantize_is_idempotent(fmt, mode):
     once = fmt.quantize(_sample(fmt), mode=mode)
     twice = fmt.quantize(once, mode=mode)
@@ -105,7 +110,7 @@ def test_quantize_is_idempotent(fmt, mode):
     assert np.array_equal(np.signbit(twice), np.signbit(thrice))
 
 
-@pytest.mark.parametrize("fmt", NARROW_FORMATS, ids=FORMAT_IDS)
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=ALL_IDS)
 def test_zero_encodes_canonically(fmt):
     """+0.0 and -0.0 map to the *same* storage code in every family."""
     bits = fmt.to_bits(np.array([0.0, -0.0]), mode="nearest")
@@ -119,7 +124,7 @@ def test_zero_encodes_canonically(fmt):
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("fmt", [POSIT_8_1, POSIT_16_1, FP16, BFLOAT16,
-                                 FixedPointFormat(2, 13)],
+                                 FixedPointFormat(2, 13), POSIT_32_3, FP32],
                          ids=lambda f: f.spec())
 def test_shapes_dtypes_and_layouts_are_preserved(fmt):
     base = np.linspace(-2.0, 2.0, 24, dtype=np.float64)
@@ -192,13 +197,23 @@ def test_oversized_bucket_table_falls_back_to_module_functions(monkeypatch):
     assert get_kernel(fmt) is not None
 
 
-def test_wide_formats_never_get_kernels():
-    assert POSIT_32_3.bits > KERNEL_MAX_BITS
-    assert get_kernel(POSIT_32_3) is None
-    # Dispatch must leave wide formats on the scalar path untouched.
+def test_every_wide_registry_format_has_a_bitfield_kernel():
+    """So no wide check in the differential harness compares the module
+    functions with themselves."""
+    assert {fmt.spec() for fmt in WIDE_FORMATS} == {"fp32", "posit(32,2)", "posit(32,3)"}
+    rows = {row["spec"]: row for row in kernel_info(WIDE_FORMATS)}
+    for fmt in WIDE_FORMATS:
+        assert get_kernel(fmt) is not None, fmt.spec()
+        assert rows[fmt.spec()] == {"spec": fmt.spec(), "bits": 32, "kind": "bitfield",
+                                    "decode_entries": 0, "line_entries": 0,
+                                    "table_bytes": 0}
+    # Dispatch goes to the kernel, bit-identical to the module function.
     x = np.linspace(-10, 10, 128)
     expected = posit_quantize(x, POSIT_32_3, rounding="zero")
     assert np.array_equal(POSIT_32_3.quantize(x, mode="zero"), expected)
+    # Wider or other 32-bit layouts have no kernel and keep the module functions.
+    for fmt in (PositConfig(40, 2), FloatFormat(11, 20), FixedPointFormat(15, 16)):
+        assert get_kernel(fmt) is None, fmt.spec()
 
 
 def test_kernel_info_reports_every_narrow_format():
@@ -208,9 +223,6 @@ def test_kernel_info_reports_every_narrow_format():
         assert row["kind"] in ("line", "fixed")
         assert row["decode_entries"] == 1 << fmt.bits
         assert row["table_bytes"] > 0
-    # Wide formats are present but explicitly unsupported.
-    assert rows["posit(32,3)"]["kind"] == "none"
-    assert rows["posit(32,3)"]["table_bytes"] == 0
 
 
 # --------------------------------------------------------------------------
