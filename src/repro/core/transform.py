@@ -25,11 +25,16 @@ plus :class:`LayerQuantContext`, the per-layer object that the layers in
 :mod:`repro.nn.layers` consult, and which also exposes the array-level hooks
 (``weight_grad``/``param``) wired into the optimizer for the ΔW and
 weight-update quantization of Fig. 3b/3c.
+
+Every insertion point asks its :class:`~repro.core.scaling.ScaleEstimator`
+for the Eq. (2) scale exactly once per quantized tensor, and
+:class:`RoleStats` only counts, so a training step takes no log2 pass beyond
+the one each scale needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,16 +66,15 @@ def apply_scaled_quantization(values: np.ndarray, quantizer: Quantizer,
     return quantizer(values / scale) * scale
 
 
-def fake_quantize(x: Tensor, quantizer: Quantizer,
-                  scaler: Optional[ScaleEstimator] = None) -> Tensor:
+def fake_quantize(x: Tensor, quantizer: Quantizer, scale: float = 1.0) -> Tensor:
     """Quantize tensor values in the forward pass; straight-through backward.
 
-    Used for weights and activations (Fig. 3a).  The straight-through
-    estimator keeps the gradient with respect to the full-precision master
-    copy intact, which matches the paper's flow where the FP32 master weights
-    are updated and then re-quantized.
+    Used for weights and activations (Fig. 3a), with the Eq. (2) ``scale``
+    the caller already computed.  The straight-through estimator keeps the
+    gradient with respect to the full-precision master copy intact, which
+    matches the paper's flow where the FP32 master weights are updated and
+    then re-quantized.
     """
-    scale = scaler.scale_for(x.data) if scaler is not None else 1.0
 
     def _forward(values: np.ndarray) -> np.ndarray:
         return apply_scaled_quantization(values, quantizer, scale)
@@ -105,55 +109,28 @@ def grad_quantize(x: Tensor, quantizer: Quantizer,
 
 @dataclass
 class RoleStats:
-    """Running statistics about the tensors quantized under one role.
+    """How many tensors, and elements, one role has quantized, and the last scale.
 
-    Used by the analysis tooling (Fig. 2 reproduction, dynamic-range reports)
-    and by the calibrated scaling mode.
+    A counter only: it takes no pass over the values.  The log2 ranges of
+    the quantized tensors are measured by
+    :class:`~repro.core.range_analysis.RangeTracker` and
+    :class:`~repro.analysis.distributions.DistributionRecorder` (Fig. 2).
     """
 
     calls: int = 0
     elements: int = 0
     last_scale: float = 1.0
-    min_log2: float = field(default=float("inf"))
-    max_log2: float = field(default=float("-inf"))
-    sum_log2_center: float = 0.0
 
     def record(self, values: np.ndarray, scale: float) -> None:
-        """Accumulate statistics for one quantized tensor."""
-        mag = np.abs(values[np.isfinite(values)])
-        mag = mag[mag > 0]
+        """Count one quantized tensor."""
         self.calls += 1
         self.elements += int(values.size)
         self.last_scale = scale
-        if mag.size:
-            logs = np.log2(mag)
-            self.min_log2 = min(self.min_log2, float(logs.min()))
-            self.max_log2 = max(self.max_log2, float(logs.max()))
-            self.sum_log2_center += float(logs.mean())
-
-    @property
-    def mean_center(self) -> float:
-        """Average log2-domain center over all recorded tensors."""
-        return self.sum_log2_center / self.calls if self.calls else 0.0
-
-    @property
-    def log2_range(self) -> float:
-        """Observed dynamic range in the log2 domain (max - min)."""
-        if self.calls == 0 or not np.isfinite(self.min_log2):
-            return 0.0
-        return self.max_log2 - self.min_log2
 
     def as_dict(self) -> dict:
         """Return the statistics as a plain dictionary."""
-        return {
-            "calls": self.calls,
-            "elements": self.elements,
-            "last_scale": self.last_scale,
-            "min_log2": self.min_log2,
-            "max_log2": self.max_log2,
-            "mean_center": self.mean_center,
-            "log2_range": self.log2_range,
-        }
+        return {"calls": self.calls, "elements": self.elements,
+                "last_scale": self.last_scale}
 
 
 class LayerQuantContext:
@@ -215,7 +192,7 @@ class LayerQuantContext:
         scaler = self.scalers["weight"]
         scale = scaler.scale_for(w.data) if scaler is not None else 1.0
         self.stats["weight"].record(w.data, scale)
-        return fake_quantize(w, quantizer, scaler)
+        return fake_quantize(w, quantizer, scale)
 
     def activation(self, a: Tensor) -> Tensor:
         """Quantize an output activation tensor."""
@@ -225,7 +202,7 @@ class LayerQuantContext:
         scaler = self.scalers["activation"]
         scale = scaler.scale_for(a.data) if scaler is not None else 1.0
         self.stats["activation"].record(a.data, scale)
-        return fake_quantize(a, quantizer, scaler)
+        return fake_quantize(a, quantizer, scale)
 
     def error(self, x: Tensor) -> Tensor:
         """Wrap a layer input so its backward error is quantized (Fig. 3b)."""

@@ -4,7 +4,10 @@ These are the compute-heavy substrate operations that the paper's ResNet
 models are built from.  The forward passes use the classic im2col lowering so
 that the inner loop is a single large matrix multiplication, and the backward
 passes reuse the same lowering (col2im) for the input gradient and a
-transposed matmul for the weight gradient.
+transposed matmul for the weight gradient.  The convolution forward and
+input-gradient products are batched ``np.matmul`` calls, chosen for their
+C-contiguous outputs: the scatter-add in :func:`col2im` and the layers after
+a convolution then read memory in order.
 
 All functions take and return :class:`repro.tensor.Tensor` objects with
 ``NCHW`` layout.
@@ -133,8 +136,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     cols = im2col(x.data, (kh, kw), stride, padding)  # (N, C*kh*kw, L)
     w_mat = weight.data.reshape(c_out, -1)  # (C_out, C*kh*kw)
-    out = np.einsum("of,nfl->nol", w_mat, cols, optimize=True)
-    out = out.reshape(n, c_out, out_h, out_w)
+    out = np.matmul(w_mat, cols).reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
 
@@ -145,7 +147,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         results = []
         if x.requires_grad:
             # d/dx: scatter W^T @ grad_out back through col2im.
-            grad_cols = np.einsum("of,nol->nfl", w_mat, grad_out, optimize=True)
+            grad_cols = np.matmul(w_mat.T, grad_out)
             grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
             results.append((x, grad_x))
         if weight.requires_grad:
@@ -159,7 +161,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
-    """Max pooling over spatial windows of an NCHW input."""
+    """Max pooling over spatial windows of an NCHW input.
+
+    The padding is ``-inf``, so a window over the border takes its maximum,
+    and routes its gradient, over real inputs only.
+    """
     kernel = _pair(kernel_size)
     stride = kernel if stride is None else _pair(stride)
     padding = _pair(padding)
@@ -167,7 +173,9 @@ def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
     out_h = _output_size(h, kernel[0], stride[0], padding[0])
     out_w = _output_size(w, kernel[1], stride[1], padding[1])
 
-    cols = im2col(x.data, kernel, stride, padding)  # (N, C*kh*kw, L)
+    ph, pw = padding
+    padded = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    cols = im2col(padded, kernel, stride, (0, 0))  # (N, C*kh*kw, L)
     cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
     argmax = cols.argmax(axis=2)
     out = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)

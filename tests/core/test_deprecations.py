@@ -10,6 +10,10 @@ outright, with no aliases: the per-family quantizer classes (use
 :func:`repro.formats.get_quantizer`), ``make_quantizer``, the
 ``REPRO_CODEC_KERNELS`` switch with ``set_kernels_enabled``, the posit
 value-grid branch, and the profiler's quantizer proxy.
+
+``RoleStats`` became a counter: its log2 statistics are gone, with no switch
+to bring them back; ``RangeTracker`` and ``DistributionRecorder`` measure
+ranges.
 """
 
 import importlib
@@ -112,3 +116,18 @@ class TestCodecAlternativesRemoved:
         monkeypatch.setenv("REPRO_CODEC_KERNELS", "0")
         assert kernels_enabled() is True
         assert active_kernel(POSIT_8_1, "zero") is get_kernel(POSIT_8_1)
+
+
+class TestRoleStatsAnalysisRemoved:
+    @pytest.mark.parametrize("name", ["min_log2", "max_log2", "sum_log2_center",
+                                      "mean_center", "log2_range"])
+    def test_log2_statistic_is_gone(self, name):
+        import numpy as np
+
+        from repro.core import RoleStats
+
+        stats = RoleStats()
+        stats.record(np.array([0.25, 4.0]), 1.0)
+        assert not hasattr(stats, name)
+        assert name not in stats.as_dict()
+        assert stats.as_dict() == {"calls": 1, "elements": 2, "last_scale": 1.0}

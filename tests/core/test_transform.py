@@ -61,11 +61,10 @@ class TestFakeQuantize:
         out.backward(upstream)
         np.testing.assert_array_equal(x.grad, upstream)
 
-    def test_scaler_applied(self, rng):
+    def test_scale_applied(self, rng):
         x = Tensor(rng.standard_normal(100) * 1e-4, requires_grad=True)
-        scaler = ScaleEstimator(sigma=2)
-        out = fake_quantize(x, get_quantizer(CFG_FWD), scaler)
-        scale = scaler.scale_for(x.data)
+        scale = ScaleEstimator(sigma=2).scale_for(x.data)
+        out = fake_quantize(x, get_quantizer(CFG_FWD), scale)
         np.testing.assert_array_equal(
             out.data, np.asarray(quantize(x.data / scale, CFG_FWD)) * scale
         )
@@ -93,6 +92,18 @@ class TestGradQuantize:
         out.backward(rng.standard_normal(30))
         assert stats.calls == 1
         assert stats.elements == 30
+
+
+class CountingEstimator(ScaleEstimator):
+    """A dynamic estimator that counts its ``scale_for`` calls."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = 0
+
+    def scale_for(self, x: np.ndarray) -> float:
+        self.calls += 1
+        return super().scale_for(x)
 
 
 class TestLayerQuantContext:
@@ -147,7 +158,6 @@ class TestLayerQuantContext:
         context.weight(Tensor(rng.standard_normal(16)))
         assert context.stats["weight"].calls == 2
         assert context.stats["weight"].elements == 32
-        assert context.stats["weight"].log2_range >= 0
 
     def test_describe_reports_formats(self):
         description = self.make_context().describe()
@@ -167,3 +177,32 @@ class TestLayerQuantContext:
         # With shifting, small weights survive the 8-bit format much better.
         direct = np.asarray(quantize(weights.data, CFG_FWD))
         assert np.abs(quantized.data - weights.data).mean() <= np.abs(direct - weights.data).mean()
+
+    def test_one_scale_per_quantized_tensor(self, rng):
+        """Each insertion point asks its estimator for the scale exactly once."""
+        scalers = {role: CountingEstimator(sigma=2) for role in LayerQuantContext.ROLES}
+        context = self.make_context(**{f"{role}_scaler": scaler
+                                       for role, scaler in scalers.items()})
+
+        def calls():
+            return tuple(scaler.calls for scaler in scalers.values())
+
+        w = Tensor(rng.standard_normal(40) * 1e-2, requires_grad=True)
+        quantized = context.weight(w)
+        assert calls() == (1, 0, 0, 0)
+        scale = context.stats["weight"].last_scale
+        np.testing.assert_array_equal(
+            quantized.data, apply_scaled_quantization(w.data, get_quantizer(CFG_FWD), scale))
+
+        context.activation(Tensor(rng.standard_normal(40)))
+        assert calls() == (1, 1, 0, 0)
+        x = Tensor(rng.standard_normal(40), requires_grad=True)
+        wrapped = context.error(x)
+        assert calls() == (1, 1, 0, 0)
+        wrapped.backward(rng.standard_normal(40) * 1e-4)
+        assert calls() == (1, 1, 1, 0)
+        context.weight_grad(rng.standard_normal(40) * 1e-5)
+        assert calls() == (1, 1, 1, 1)
+        context.param(w.data)
+        assert calls() == (2, 1, 1, 1)
+        assert [stats.calls for stats in context.stats.values()] == [1, 1, 1, 1]

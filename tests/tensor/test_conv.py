@@ -33,6 +33,86 @@ def reference_conv2d(x, w, b, stride, padding):
     return out
 
 
+def einsum_conv2d(x, w, b, upstream, stride, padding):
+    """The einsum lowering conv2d used before its matmul form: the oracle.
+
+    Returns the forward output and the gradients of ``x``, ``w`` and ``b``
+    (``None`` without a bias) for the output gradient ``upstream``.
+    """
+    n = x.shape[0]
+    c_out, _, kh, kw = w.shape
+    cols = im2col(x, (kh, kw), stride, padding)
+    w_mat = w.reshape(c_out, -1)
+    out = np.einsum("of,nfl->nol", w_mat, cols, optimize=True)
+    out = out.reshape(n, c_out, *upstream.shape[2:])
+    if b is not None:
+        out = out + b.reshape(1, c_out, 1, 1)
+    grad_out = upstream.reshape(n, c_out, -1)
+    grad_cols = np.einsum("of,nol->nfl", w_mat, grad_out, optimize=True)
+    grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
+    grad_w = np.einsum("nol,nfl->of", grad_out, cols, optimize=True).reshape(w.shape)
+    grad_b = upstream.sum(axis=(0, 2, 3)) if b is not None else None
+    return out, grad_x, grad_w, grad_b
+
+
+#: The nine conv layers of the benchmark's ``cifar_resnet`` at batch 16, as
+#: (input shape, weight shape, stride, padding); layer1's two convs share a
+#: shape.  Plus one odd-sized, non-square case with a bias.
+CIFAR_RESNET_CONVS = {
+    "conv1": ((16, 3, 32, 32), (8, 3, 3, 3), 1, 1),
+    "layer1.0.conv1": ((16, 8, 32, 32), (8, 8, 3, 3), 1, 1),
+    "layer1.0.conv2": ((16, 8, 32, 32), (8, 8, 3, 3), 1, 1),
+    "layer2.0.conv1": ((16, 8, 32, 32), (16, 8, 3, 3), 2, 1),
+    "layer2.0.conv2": ((16, 16, 16, 16), (16, 16, 3, 3), 1, 1),
+    "layer2.0.downsample.0": ((16, 8, 32, 32), (16, 8, 1, 1), 2, 0),
+    "layer3.0.conv1": ((16, 16, 16, 16), (32, 16, 3, 3), 2, 1),
+    "layer3.0.conv2": ((16, 32, 8, 8), (32, 32, 3, 3), 1, 1),
+    "layer3.0.downsample.0": ((16, 16, 16, 16), (32, 16, 1, 1), 2, 0),
+}
+
+
+class TestConvLoweringDifferential:
+    """The matmul lowering is bit-identical to the einsum one it replaced."""
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride, padding, bias", [
+        *[(*shape, False) for shape in CIFAR_RESNET_CONVS.values()],
+        ((3, 5, 7, 9), (6, 5, 3, 2), (2, 1), (1, 0), True),
+    ], ids=[*CIFAR_RESNET_CONVS, "odd_with_bias"])
+    def test_matches_einsum_lowering(self, rng, monkeypatch, x_shape, w_shape,
+                                     stride, padding, bias):
+        import repro.tensor.conv as conv_module
+
+        stride, padding = conv_module._pair(stride), conv_module._pair(padding)
+        x_data = rng.standard_normal(x_shape)
+        w_data = rng.standard_normal(w_shape)
+        b_data = rng.standard_normal(w_shape[0]) if bias else None
+        x = Tensor(x_data, requires_grad=True)
+        w = Tensor(w_data, requires_grad=True)
+        b = Tensor(b_data, requires_grad=True) if bias else None
+
+        scattered = []
+
+        def spy_col2im(cols, *args):
+            scattered.append(cols.flags.c_contiguous)
+            return col2im(cols, *args)
+
+        monkeypatch.setattr(conv_module, "col2im", spy_col2im)
+        out = conv2d(x, w, b, stride=stride, padding=padding)
+        upstream = rng.standard_normal(out.shape)
+        out.backward(upstream)
+
+        expected = einsum_conv2d(x_data, w_data, b_data, upstream, stride, padding)
+        np.testing.assert_array_equal(out.data, expected[0])
+        np.testing.assert_array_equal(x.grad, expected[1])
+        np.testing.assert_array_equal(w.grad, expected[2])
+        if bias:
+            np.testing.assert_array_equal(b.grad, expected[3])
+        # The GEMM outputs are C-contiguous, so col2im's scatter-add, and
+        # the layers after the convolution, read memory in order.
+        assert out.data.flags.c_contiguous
+        assert scattered == [True]
+
+
 class TestIm2Col:
     def test_shape(self):
         x = np.random.default_rng(0).standard_normal((2, 3, 8, 8))
@@ -137,6 +217,16 @@ class TestPooling:
         x = Tensor(x_data, requires_grad=True)
         (max_pool2d(x, 2) ** 2).sum().backward()
         np.testing.assert_allclose(x.grad, numgrad(loss, x_data), atol=1e-5)
+
+    def test_max_pool_padding_is_negative_infinity(self):
+        """A border window over negative inputs takes a real input's maximum."""
+        x = Tensor(-1 - np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
+        out = max_pool2d(x, 3, stride=2, padding=1)
+        np.testing.assert_array_equal(out.data, [[[[-1.0, -2.0], [-5.0, -6.0]]]])
+        out.sum().backward()
+        expected = np.zeros((1, 1, 4, 4))
+        expected[0, 0, :2, :2] = 1.0
+        np.testing.assert_array_equal(x.grad, expected)
 
     def test_max_pool_stride_and_padding(self, rng):
         x = rng.standard_normal((1, 2, 7, 7))
