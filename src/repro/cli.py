@@ -183,7 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=32,
                        help="micro-batch size cap (default: 32)")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="max coalescing wait after the first request (default: 2)")
+                       help="cap on the wait for batch-mates, taken only "
+                            "while company is likely (requests already queued, "
+                            "or the last batch had company); a lone request "
+                            "runs at once (default: 2)")
     serve.add_argument("--queue-size", type=int, default=None,
                        help="bounded admission queue per engine; overflow is "
                             "shed as HTTP 429 + Retry-After (default: 4096)")

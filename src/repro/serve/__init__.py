@@ -19,9 +19,9 @@ in posit is *served* in posit.  Four layers, composable separately:
   (golden fixtures under ``tests/serve/fixtures/`` pin this).
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`: loads one artifact,
   caches decoded weights + activation quantizers, and serves through
-  dynamic micro-batching (coalesce up to ``max_batch`` requests within
-  ``max_wait_ms``) with per-request latency and hardware-model energy
-  accounting.
+  dynamic micro-batching (coalesce up to ``max_batch`` requests, waiting
+  at most ``max_wait_ms`` and only while company is likely) with
+  per-request latency and hardware-model energy accounting.
 * :mod:`repro.serve.transport` — a stdlib JSON-over-HTTP server
   (``/predict``, ``/healthz``, ``/stats``) plus in-process and urllib
   clients sharing one request contract.

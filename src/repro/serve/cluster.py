@@ -37,15 +37,15 @@ behind one HTTP listener.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing as mp
 import os
-import queue
 import signal
 import threading
 import time
 from concurrent.futures import Future, TimeoutError as FuturesTimeout
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,13 +72,6 @@ class WorkerCrashed(RuntimeError):
 _STARTING, _READY, _FAILED, _DEAD, _RETIRED = (
     "starting", "ready", "failed", "dead", "retired")
 
-#: Persistent handler threads per worker process.  Bounds in-worker request
-#: concurrency (and therefore the micro-batcher's coalescing opportunity
-#: from one worker's perspective); spawning a thread per message instead
-#: costs ~0.2 ms/request, which at scale-out throughputs dominates the MACs.
-_WORKER_POOL_SIZE = 32
-
-
 def _cluster_context(name: Optional[str]) -> mp.context.BaseContext:
     """Start-method context: ``fork`` where available (fast, inherits the
     loaded library), else ``spawn``; overridable for platform debugging."""
@@ -100,10 +93,18 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
     resized here.  Then the handshake: construct the engine (which replays
     the guardrail) and report ``ready`` or ``failed`` — a guardrail
     violation makes the worker exit with a non-zero status without ever
-    serving a request.  Then serve messages off the pipe through a
-    persistent handler pool, so concurrent dispatches coalesce in the
-    engine's micro-batcher exactly like concurrent HTTP clients do in the
-    single-process server.
+    serving a request.
+
+    Then the receive loop serves the pipe with no handler threads: it
+    submits a ``predict`` message's samples to the engine itself, and the
+    done-callback of whichever of their futures resolves last sends the
+    reply, on the batcher thread.  A ``blas_threads`` control replies the
+    same way from its between-batches call; ``stats``, ``metrics``,
+    ``ping`` and the rest of ``control`` are answered inline.  Every
+    message gets exactly one reply: a rejected submit (``AdmissionError``,
+    ``ValueError``) or a reply that fails to build becomes an error reply.
+    On shutdown the engine drains its queued requests, whose callbacks
+    still reply.
     """
     set_blas_threads(blas_threads_budget)
     # A terminal Ctrl-C signals the whole foreground process group; shutdown
@@ -141,83 +142,90 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
            "blas_threads": blas_threads()})
     engine.start()
 
-    def handle(message: dict) -> None:
+    def error_reply(message: dict, exc: Exception) -> dict:
+        payload = {"id": message["id"], "ok": False,
+                   "etype": type(exc).__name__, "error": str(exc)}
+        retry_after = getattr(exc, "retry_after_s", None)
+        if retry_after is not None:
+            # Backpressure must survive the pipe: the supervisor
+            # rebuilds a typed AdmissionError so the transport can
+            # answer 429 + Retry-After.
+            payload["retry_after_s"] = float(retry_after)
+        return payload
+
+    def respond(message: dict, futures: list,
+                build: Callable[[list], dict]) -> None:
+        """Reply ``build(results)``, or the error a future or ``build`` raised."""
         try:
-            if message["kind"] == "predict":
-                samples = [np.asarray(sample, dtype=np.float64)
-                           for sample in message["samples"]]
-                trace_ctx = message.get("trace")
-                futures = [engine.submit(sample, trace=trace_ctx)
-                           for sample in samples]
-                logits = [future.result(timeout=60.0) for future in futures]
-                result = {
-                    "predictions": [int(np.argmax(row)) for row in logits],
-                    "logits": [np.asarray(row, dtype=np.float64).tolist()
-                               for row in logits],
-                    "worker": index,
-                }
-                if trace_ctx and trace_ctx.get("sampled", True):
-                    # Ship this request's worker-side spans back with the
-                    # reply; the supervisor merges them into one trace.
-                    # Safe to collect here: the engine closes a request's
-                    # spans before resolving its future.
-                    result["trace_spans"] = [
-                        span.to_dict() for span in
-                        engine.tracer.spans(trace_ctx.get("trace_id"))]
-            elif message["kind"] == "stats":
-                result = {**engine.stats(), "worker": index, "pid": os.getpid()}
-            elif message["kind"] == "metrics":
-                # The control-plane poll: cheap rolling-window signals only
-                # (no energy pricing, no lifetime percentile scan).
-                result = {
-                    "worker": index,
-                    "queue_depth": engine.queue_depth,
-                    "queue_capacity": engine.batching.queue_size,
-                    "max_wait_ms": engine.max_wait_ms,
-                    "load_state": engine.load_state(),
-                    "metrics": engine.metrics.snapshot(),
-                }
-            elif message["kind"] == "control":
-                # Actuation from the supervisor's controller.
-                if "max_wait_ms" in message:
-                    engine.set_max_wait_ms(message["max_wait_ms"])
-                if "blas_threads" in message:
-                    # Between batches: never resize the pool under a forward.
-                    threads = message["blas_threads"]
-                    engine.call_between_batches(
-                        lambda: set_blas_threads(threads)).result(timeout=30.0)
-                result = {"worker": index, "max_wait_ms": engine.max_wait_ms}
-            elif message["kind"] == "ping":
-                result = {"worker": index, "pid": os.getpid()}
-            else:
-                raise ValueError(f"unknown message kind {message['kind']!r}")
-        except BaseException as exc:  # noqa: BLE001 - errors travel the pipe
-            payload = {"id": message["id"], "ok": False,
-                       "etype": type(exc).__name__, "error": str(exc)}
-            retry_after = getattr(exc, "retry_after_s", None)
-            if retry_after is not None:
-                # Backpressure must survive the pipe: the supervisor
-                # rebuilds a typed AdmissionError so the transport can
-                # answer 429 + Retry-After.
-                payload["retry_after_s"] = float(retry_after)
-            reply(payload)
-            return
-        reply({"id": message["id"], "ok": True, "result": result})
+            payload = {"id": message["id"], "ok": True,
+                       "result": build([future.result() for future in futures])}
+        except Exception as exc:  # noqa: BLE001 - errors travel the pipe
+            payload = error_reply(message, exc)
+        reply(payload)
 
-    work: queue.Queue = queue.Queue()
+    def when_done(futures: list, then: Callable[[], None]) -> None:
+        """Run ``then`` once every future is done: on the thread that
+        finishes the last one, or at once when none is pending."""
+        pending = [future for future in futures if not future.done()]
+        if pending:
+            pending[-1].add_done_callback(lambda _: when_done(pending, then))
+        else:
+            then()
 
-    def pool_loop() -> None:
-        while True:
-            message = work.get()
-            if message is None:
-                return
-            handle(message)
+    def predicted(trace_ctx: Optional[dict], logits: list) -> dict:
+        result = {
+            "predictions": [int(np.argmax(row)) for row in logits],
+            "logits": [np.asarray(row, dtype=np.float64).tolist()
+                       for row in logits],
+            "worker": index,
+        }
+        if trace_ctx and trace_ctx.get("sampled", True):
+            # Ship this request's worker-side spans back with the reply;
+            # the supervisor merges them into one trace.  Safe to collect
+            # here: the engine closes a request's spans before resolving
+            # its future.
+            result["trace_spans"] = [
+                span.to_dict() for span in
+                engine.tracer.spans(trace_ctx.get("trace_id"))]
+        return result
 
-    pool = [threading.Thread(target=pool_loop, daemon=True,
-                             name=f"repro-serve-handler-{index}-{rank}")
-            for rank in range(_WORKER_POOL_SIZE)]
-    for thread in pool:
-        thread.start()
+    def handle(message: dict) -> tuple[list, Callable[[list], dict]]:
+        """Start one message's work: (futures to await, reply builder)."""
+        kind = message["kind"]
+        if kind == "predict":
+            trace_ctx = message.get("trace")
+            futures = [engine.submit(sample, trace=trace_ctx)
+                       for sample in message["samples"]]
+            return futures, lambda logits: predicted(trace_ctx, logits)
+        if kind == "stats":
+            return [], lambda _: {**engine.stats(), "worker": index,
+                                  "pid": os.getpid()}
+        if kind == "metrics":
+            # The control-plane poll: cheap rolling-window signals only
+            # (no energy pricing, no lifetime percentile scan).
+            return [], lambda _: {
+                "worker": index,
+                "queue_depth": engine.queue_depth,
+                "queue_capacity": engine.batching.queue_size,
+                "max_wait_ms": engine.max_wait_ms,
+                "load_state": engine.load_state(),
+                "metrics": engine.metrics.snapshot(),
+            }
+        if kind == "control":
+            # Actuation from the supervisor's controller.
+            if "max_wait_ms" in message:
+                engine.set_max_wait_ms(message["max_wait_ms"])
+            futures = []
+            if "blas_threads" in message:
+                # Between batches: never resize the pool under a forward.
+                threads = message["blas_threads"]
+                futures.append(engine.call_between_batches(
+                    lambda: set_blas_threads(threads)))
+            return futures, lambda _: {"worker": index,
+                                       "max_wait_ms": engine.max_wait_ms}
+        if kind == "ping":
+            return [], lambda _: {"worker": index, "pid": os.getpid()}
+        raise ValueError(f"unknown message kind {kind!r}")
 
     try:
         while True:
@@ -227,12 +235,14 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
                 break
             if message.get("kind") == "shutdown":
                 break
-            work.put(message)
+            try:
+                futures, build = handle(message)
+            except Exception as exc:  # noqa: BLE001 - errors travel the pipe
+                reply(error_reply(message, exc))
+                continue
+            when_done(futures, functools.partial(respond, message, futures,
+                                                 build))
     finally:
-        for _ in pool:
-            work.put(None)
-        for thread in pool:
-            thread.join(timeout=5.0)
         engine.stop()  # drains already-queued requests before exit
         conn.close()
 
@@ -866,6 +876,8 @@ class ServeCluster:
             "rejected_recent": merged["counts"].get("rejected", 0.0),
             "batch_occupancy": merged["gauges"].get(
                 "batch_occupancy", {}).get("mean", 0.0),
+            "batch_size_mean": merged["gauges"].get(
+                "batch_size", {}).get("mean", 0.0),
             "workers": self._target_workers,
             "workers_alive": alive,
         }

@@ -19,8 +19,9 @@ blew p99 out to 190 ms.  This module closes the loop:
     which is exactly the recorded regression;
   - **tunes** ``max_wait_ms`` online with an AIMD rule against a p99 SLO:
     additive increase (more coalescing, more throughput) while p99 sits
-    comfortably under the SLO, multiplicative decrease the moment it
-    crosses — the classic stable shape for a feedback knob;
+    comfortably under the SLO and batches are forming (mean batch > 1),
+    multiplicative decrease the moment it crosses — the classic stable
+    shape for a feedback knob;
   - holds **hysteresis**: scaling decisions need ``hysteresis_ticks``
     consecutive ticks of agreeing evidence and are followed by a
     ``cooldown_ticks`` quiet period, so the worker count cannot flap.
@@ -87,7 +88,7 @@ class ControlConfig:
     ``slo_p99_ms`` is the target the AIMD rule steers toward; the wait
     tuner never pushes p99 *to* the SLO — it backs off multiplicatively as
     soon as p99 crosses it and only grows the wait again while p99 sits
-    under ``slo_headroom * slo_p99_ms``.
+    under ``slo_headroom * slo_p99_ms`` and the mean batch is above one.
     """
 
     slo_p99_ms: float = 50.0
@@ -153,6 +154,8 @@ class EnginePlant:
             "rejected_recent": snapshot["counts"].get("rejected", 0.0),
             "batch_occupancy": snapshot["gauges"].get(
                 "batch_occupancy", {}).get("mean", 0.0),
+            "batch_size_mean": snapshot["gauges"].get(
+                "batch_size", {}).get("mean", 0.0),
             "workers": 1,
             "workers_alive": 1,
         }
@@ -251,6 +254,10 @@ class Controller:
             target = max(config.wait_min_ms, wait * config.wait_backoff)
             reason = "p99-over-slo"
         elif p99 < config.slo_headroom * config.slo_p99_ms:
+            batch = observation.get("batch_size_mean")
+            if batch is not None and batch <= 1.0:
+                # Requests arrive alone: a longer wait would buy no batch.
+                return
             # Additive increase: comfortably under SLO, buy batch occupancy.
             target = min(config.wait_max_ms, wait + config.wait_additive_ms)
             reason = "p99-under-headroom"
@@ -336,7 +343,8 @@ class Controller:
         decision["observed"] = {
             key: observation.get(key)
             for key in ("queue_depth", "p99_ms", "arrival_rate_rps",
-                        "rejected_recent", "workers", "workers_alive")}
+                        "batch_size_mean", "rejected_recent", "workers",
+                        "workers_alive")}
         self._tune_wait(observation, decision)
         self._autoscale(observation, decision)
         self.last_decision = decision

@@ -5,8 +5,10 @@ an :class:`InferenceEngine` loads one packed artifact
 (:mod:`repro.serve.artifact`), keeps the decoded weights and the activation
 quantizer cached for its lifetime, and serves predictions through **dynamic
 micro-batching** — single-sample requests are queued and coalesced into
-batches of up to ``max_batch`` samples, waiting at most ``max_wait_ms``
-after the first request arrives.  One forward pass then serves the whole
+batches of up to ``max_batch`` samples.  The batcher waits for batch-mates
+only while company is likely: requests were already queued behind the
+first, or the previous batch found company.  ``max_wait_ms`` caps that
+wait; a lone request runs at once.  One forward pass then serves the whole
 batch, which is where the throughput comes from: the NumPy forward pass and
 the posit quantization kernels are vectorized, so a batch of 32 costs far
 less than 32 single-sample passes.
@@ -90,10 +92,11 @@ class AdmissionError(RuntimeError):
 class BatchingConfig:
     """Micro-batching knobs.
 
-    ``max_batch`` bounds the coalesced batch size; ``max_wait_ms`` bounds
+    ``max_batch`` bounds the coalesced batch size; ``max_wait_ms`` caps
     how long the first request of a batch waits for company (the
-    latency/throughput trade-off); ``queue_size`` bounds admission
-    (a full queue rejects instead of buffering unboundedly).
+    latency/throughput trade-off), a wait the batcher takes only while
+    company is likely; ``queue_size`` bounds admission (a full queue
+    rejects instead of buffering unboundedly).
     """
 
     max_batch: int = 32
@@ -211,6 +214,9 @@ class InferenceEngine:
         self._worker: Optional[threading.Thread] = None
         #: (fn, future) pairs the batcher runs before its next batch.
         self._calls: deque = deque()
+        #: Whether the last batch found company; the batcher only waits for
+        #: batch-mates while company is likely, and starts out assuming it.
+        self._found_company = True
         model_block = self.manifest.get("model") or {}
         shape = model_block.get("input_shape")
         self._input_shape = tuple(int(dim) for dim in shape) if shape else None
@@ -546,7 +552,12 @@ class InferenceEngine:
         return float(report["compute_energy_uj"]), memory_uj
 
     def _collect_batch(self) -> Optional[list]:
-        """Block for the first request, then coalesce until size/deadline.
+        """Block for the first request, then coalesce while company is likely.
+
+        The batcher waits for batch-mates, up to the ``max_wait_ms`` cap,
+        only when requests were already queued behind the first or the
+        previous batch found company.  Otherwise it sweeps what is queued
+        and returns, so a lone request runs at once.
 
         Returns ``None`` when the engine is stopping and the queue has been
         drained — already-queued requests are always served before exit.
@@ -569,13 +580,14 @@ class InferenceEngine:
         if first.trace is not None:
             first.picked_at = time.perf_counter()
         batch = [first]
+        company_likely = self._found_company or not self._queue.empty()
         deadline = time.perf_counter() + self._max_wait_ms / 1000.0
         while len(batch) < self.batching.max_batch:
             remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                # Deadline passed: still sweep anything already queued, so a
-                # burst that landed during the forward pass coalesces even
-                # with max_wait_ms=0.
+            if not company_likely or remaining <= 0:
+                # No company expected, or the deadline passed: still sweep
+                # anything already queued, so a burst that landed during the
+                # forward pass coalesces even with max_wait_ms=0.
                 try:
                     item = self._queue.get_nowait()
                 except queue.Empty:
@@ -590,6 +602,7 @@ class InferenceEngine:
             if item.trace is not None:
                 item.picked_at = time.perf_counter()
             batch.append(item)
+        self._found_company = len(batch) > 1
         return batch
 
     def _serve_batch(self, batch: list) -> Optional[np.ndarray]:

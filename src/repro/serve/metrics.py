@@ -167,7 +167,7 @@ class MetricsCollector:
         """One structured view of the whole window (the ``/stats`` rows).
 
         ``counts``/``rates`` for every counter, ``latency_ms`` per stage
-        (count/mean/p50/p99/max), ``gauges`` (last/mean/max), plus
+        (count/mean/p50/p99/max), ``gauges`` (last/mean/max/count), plus
         ``lifetime`` totals for the counters (never windowed out).
         """
         window_s = self.window_s if window_s is None else float(window_s)
@@ -213,7 +213,8 @@ class MetricsCollector:
             "latency_ms": latency_ms,
             "gauges": {name: {"last": gauge_last.get(name, 0.0),
                               "mean": (total / n) if n else 0.0,
-                              "max": peak if n else 0.0}
+                              "max": peak if n else 0.0,
+                              "count": int(n)}
                        for name, (total, n, peak) in gauges.items()},
             "lifetime": {name: value for name, value in lifetime.items()
                          if not name.startswith("_obs_")},
@@ -243,9 +244,10 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
     """Aggregate per-worker snapshots into one cluster-level view.
 
     Counts/rates/lifetimes sum; gauges sum ``last`` (cluster queue depth is
-    the *total* queued work) and keep the max of ``max``; latency
-    percentiles merge request-weighted (exact merging would need the raw
-    samples, which never leave the worker).
+    the *total* queued work), weight ``mean`` by each worker's sample count
+    and keep the max of ``max``; latency percentiles merge request-weighted
+    (exact merging would need the raw samples, which never leave the
+    worker).
     """
     if not snapshots:
         return {"window_s": 0.0, "counts": {}, "rates": {}, "latency_ms": {},
@@ -263,10 +265,14 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
             lifetime[name] = lifetime.get(name, 0) + value
         for name, cell in snap.get("gauges", {}).items():
             merged = gauges.setdefault(
-                name, {"last": 0.0, "mean": 0.0, "max": 0.0})
+                name, {"last": 0.0, "mean": 0.0, "max": 0.0, "count": 0})
             merged["last"] += cell.get("last", 0.0)
-            merged["mean"] += cell.get("mean", 0.0)
+            merged["mean"] += cell.get("mean", 0.0) * cell.get("count", 0)
             merged["max"] = max(merged["max"], cell.get("max", 0.0))
+            merged["count"] += cell.get("count", 0)
+    for merged in gauges.values():
+        if merged["count"]:
+            merged["mean"] /= merged["count"]
     return {
         "window_s": max(snap.get("window_s", 0.0) for snap in snapshots),
         "counts": counts,

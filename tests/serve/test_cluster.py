@@ -7,8 +7,10 @@ restart with transparent failover, clean drain on shutdown, and the HTTP
 listener over the cluster.
 """
 
+import multiprocessing as mp
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -18,6 +20,7 @@ from artifact_tools import rewrite_manifest
 
 from repro.api import ExperimentConfig
 from repro.serve import (
+    AdmissionError,
     BatchingConfig,
     ClusterConfig,
     ClusterError,
@@ -291,6 +294,157 @@ class TestClusterSupervision:
             assert wait_until(
                 lambda: cluster.healthz()["status"] == "degraded")
             assert cluster.predict([np.zeros(2)])["worker"] == 1
+
+
+# --------------------------------------------------------------------- #
+# Worker reply path: one reply per message, errors included
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def parked_forward(monkeypatch):
+    """Park every batcher-thread forward until the returned event is set.
+
+    Patched on the class before the cluster forks, so the workers inherit
+    it; the guardrail replay runs on the worker's main thread and passes.
+    """
+    if "fork" not in mp.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    release = mp.get_context("fork").Event()
+    forward = InferenceEngine._forward
+
+    def parked(self, batch):
+        if threading.current_thread().name == "repro-serve-batcher":
+            release.wait(timeout=30.0)
+        return forward(self, batch)
+
+    monkeypatch.setattr(InferenceEngine, "_forward", parked)
+    yield release
+    release.set()
+
+
+def worker_queue(cluster) -> tuple:
+    """(arrivals, queue depth) of a 1-worker cluster's engine.
+
+    The worker answers this poll after every message sent before it, so
+    ``arrivals`` counts each of those submits."""
+    (row,) = cluster.worker_metrics()
+    return row["metrics"]["counts"].get("arrivals", 0), row["queue_depth"]
+
+
+class TestWorkerReplies:
+    def test_admission_error_crosses_the_pipe_typed(self, artifact, samples,
+                                                    parked_forward):
+        """A full worker queue reaches the caller as AdmissionError with
+        its retry hint, and the worker goes on serving."""
+        direct = InferenceEngine(artifact).predict_batch(samples[:3])
+        with ServeCluster(artifact, ClusterConfig(workers=1,
+                                                  mp_context="fork"),
+                          batching=BatchingConfig(max_batch=1,
+                                                  max_wait_ms=0.0,
+                                                  queue_size=1)) as cluster:
+            answers = {}
+
+            def send(index):
+                answers[index] = cluster.predict([samples[index]])
+
+            first = threading.Thread(target=send, args=(0,))
+            first.start()  # taken by the batcher, parked in its forward
+            assert wait_until(lambda: worker_queue(cluster) == (1, 0))
+            second = threading.Thread(target=send, args=(1,))
+            second.start()  # fills the one-slot queue
+            assert wait_until(lambda: worker_queue(cluster) == (2, 1))
+            with pytest.raises(AdmissionError) as excinfo:
+                cluster.predict([samples[2]])
+            # No completion measured yet: the engine's default hint.
+            assert excinfo.value.retry_after_s == 1.0
+            parked_forward.set()
+            for thread in (first, second):
+                thread.join(timeout=30.0)
+            after = cluster.predict([samples[2]])
+        assert [answers[0]["logits"][0], answers[1]["logits"][0],
+                after["logits"][0]] == direct.tolist()
+        assert after["worker"] == 0
+
+    def test_shutdown_answers_queued_requests(self, artifact, samples,
+                                              parked_forward):
+        cluster = ServeCluster(artifact, ClusterConfig(workers=1,
+                                                       mp_context="fork"),
+                               batching=BatchingConfig(max_batch=1,
+                                                       max_wait_ms=0.0))
+        cluster.start()
+        answers, errors = [], []
+
+        def send(index):
+            try:
+                answers.append(cluster.predict([samples[index]]))
+            except Exception as exc:  # noqa: BLE001 - tallied
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=send, args=(index,))
+                   for index in range(3)]
+        try:
+            for thread in threads:
+                thread.start()
+            # One request parked in the forward, two queued behind it.
+            assert wait_until(lambda: worker_queue(cluster) == (3, 2))
+            stopper = threading.Thread(target=cluster.stop)
+            stopper.start()
+            time.sleep(0.2)  # let the shutdown message reach the worker
+            parked_forward.set()
+            stopper.join(timeout=30.0)
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            parked_forward.set()
+            cluster.stop()
+        assert errors == [] and len(answers) == 3
+
+    def test_messages_split_across_batches_get_their_own_rows(
+            self, artifact, samples):
+        """Each multi-sample message is answered once, by whichever batch
+        resolves its last sample, with its own rows: 8 concurrent clients,
+        5 samples a message, batches of at most 3."""
+        direct = InferenceEngine(artifact).predict_batch(samples)
+        picks = np.random.default_rng(3).integers(0, len(samples),
+                                                  size=(8, 10, 5))
+        errors = []
+
+        def client(rows):
+            try:
+                for pick in rows:
+                    payload = cluster.predict(list(samples[pick]),
+                                              timeout=30.0)
+                    if payload["logits"] != direct[pick].tolist():
+                        errors.append(f"wrong rows for {pick}")
+            except Exception as exc:  # noqa: BLE001 - tallied
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # forked workers inherit it
+        try:
+            with ServeCluster(artifact, ClusterConfig(workers=2,
+                                                      mp_context="fork"),
+                              batching=BatchingConfig(
+                                  max_batch=3, max_wait_ms=1.0)) as cluster:
+                threads = [threading.Thread(target=client, args=(rows,))
+                           for rows in picks]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                served = sum(row["requests"]
+                             for row in cluster.stats()["per_worker"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [], errors[:3]
+        assert served == picks.size
+
+    def test_unknown_message_gets_an_error_reply(self, cluster):
+        (handle,) = [h for h in cluster._handles if h.index == 0]
+        with pytest.raises(ValueError, match="unknown message kind"):
+            cluster._request(handle, {"kind": "bogus"}, timeout=10.0)
+        assert cluster._request(handle, {"kind": "ping"},
+                                timeout=10.0)["worker"] == 0
 
 
 # --------------------------------------------------------------------- #

@@ -11,12 +11,14 @@ treatment with a fake monotonic clock.
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.serve import (
     ControlConfig,
     Controller,
+    EnginePlant,
     MetricsCollector,
     classify_load,
     merge_snapshots,
@@ -175,6 +177,31 @@ class TestWaitTuning:
         controller = self.controller(plant, tune_wait=False)
         controller.tick(observation(p99_ms=10.0))
         assert plant.wait_history == []
+
+    def test_no_increase_while_requests_arrive_alone(self):
+        # p99 is under the headroom, but every batch held one request: a
+        # longer wait buys no batch, only latency for the next pair.
+        plant = FakePlant(max_wait_ms=2.0)
+        controller = self.controller(plant)
+        decision = controller.tick({**observation(p99_ms=10.0),
+                                    "batch_size_mean": 1.0})
+        assert "max_wait_ms" not in decision
+        assert plant.max_wait_ms == pytest.approx(2.0)
+        assert plant.wait_history == []
+        # Batches forming again: the additive increase resumes.
+        controller.tick({**observation(p99_ms=10.0), "batch_size_mean": 1.5})
+        assert plant.max_wait_ms == pytest.approx(2.5)
+        # Over the SLO the backoff applies whatever the batch size.
+        controller.tick({**observation(p99_ms=80.0), "batch_size_mean": 1.0})
+        assert plant.max_wait_ms == pytest.approx(1.25)
+
+    def test_engine_plant_reports_mean_batch_size(self):
+        engine = SimpleNamespace(
+            metrics=MetricsCollector(window_s=10.0, clock=FakeClock()),
+            queue_depth=0, batching=SimpleNamespace(queue_size=64))
+        for size in (1, 3):
+            engine.metrics.gauge("batch_size", size)
+        assert EnginePlant(engine).observe()["batch_size_mean"] == 2.0
 
 
 # --------------------------------------------------------------------- #
@@ -386,6 +413,30 @@ class TestMetricsCollector:
         cell = merged["latency_ms"]["total"]
         assert cell["count"] == 2
         assert cell["max"] == pytest.approx(30.0)
+
+    def test_merged_gauge_mean_is_sample_weighted(self):
+        clock = FakeClock()
+        first, second = (MetricsCollector(window_s=10.0, clock=clock)
+                         for _ in range(2))
+        first.gauge("batch_occupancy", 0.5)
+        for _ in range(3):
+            second.gauge("batch_occupancy", 0.5)
+        second.gauge("queue_depth", 4.0)
+        first.gauge("queue_depth", 2.0)
+        merged = merge_snapshots([first.snapshot(), second.snapshot()])
+        cell = merged["gauges"]["batch_occupancy"]
+        assert cell["mean"] == pytest.approx(0.5)
+        assert cell["max"] == pytest.approx(0.5)
+        assert cell["count"] == 4
+        # ``last`` still sums: cluster queue depth is the total queued work.
+        assert merged["gauges"]["queue_depth"]["last"] == pytest.approx(6.0)
+        assert merged["gauges"]["queue_depth"]["mean"] == pytest.approx(3.0)
+        # Weighted by samples, not by worker: 1 x 1.0 and 3 x 0.0.
+        first.gauge("batch_size", 1.0)
+        for _ in range(3):
+            second.gauge("batch_size", 0.0)
+        merged = merge_snapshots([first.snapshot(), second.snapshot()])
+        assert merged["gauges"]["batch_size"]["mean"] == pytest.approx(0.25)
 
     def test_render_prometheus_exposition(self):
         clock = FakeClock()

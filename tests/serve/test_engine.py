@@ -1,6 +1,7 @@
 """Tests for the micro-batching inference engine."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +73,31 @@ def test_concurrent_clients_coalesce(artifact, samples):
     assert stats["batches"] < 64
     assert stats["mean_batch_size"] > 1.5
     assert stats["max_batch_seen"] <= 32
+
+
+def test_lone_request_runs_at_once(artifact, samples):
+    """After a lone request, the next sequential one does not wait out
+    max_wait_ms for company that cannot arrive."""
+    with InferenceEngine(artifact, BatchingConfig(max_batch=16,
+                                                  max_wait_ms=1000.0)) as engine:
+        engine.predict(samples[0], timeout=10.0)
+        started = time.perf_counter()
+        engine.predict(samples[1], timeout=10.0)
+        elapsed = time.perf_counter() - started
+    assert elapsed < 0.5, elapsed
+
+
+def test_burst_after_lone_request_still_coalesces(artifact, samples):
+    with InferenceEngine(artifact, BatchingConfig(max_batch=16,
+                                                  max_wait_ms=1000.0)) as engine:
+        engine.predict(samples[0], timeout=10.0)
+        before = engine.stats()["batches"]
+        futures = [engine.submit(sample) for sample in samples[:16]]
+        coalesced = np.stack([future.result(10.0) for future in futures])
+        batches = engine.stats()["batches"] - before
+        direct = engine.predict_batch(samples[:16])
+    assert batches < 16, batches
+    assert np.array_equal(coalesced, direct)
 
 
 def test_max_batch_one_disables_coalescing(artifact, samples):
