@@ -13,10 +13,11 @@ in posit is *served* in posit.  Four layers, composable separately:
   format is per tensor — mixed-precision exports mirror the training
   policy's :class:`~repro.core.policy.RoleFormats` assignment — and every
   tensor lives in its own SHA-256-checksummed segment, so loads stream one
-  tensor at a time (:func:`~repro.serve.artifact.iter_tensors`,
-  :func:`~repro.serve.artifact.segment_table`) with peak extra memory
-  bounded by the largest segment; v1.0/v1.1 artifacts load bit-identically
-  (golden fixtures under ``tests/serve/fixtures/`` pin this).
+  tensor at a time, in chunks (:func:`~repro.serve.artifact.iter_tensors`,
+  :func:`~repro.serve.artifact.segment_table`), with ~1.5 MB of decode
+  scratch, and ``load_model`` decodes straight into the model's arrays;
+  v1.0/v1.1 artifacts load bit-identically (golden fixtures under
+  ``tests/serve/fixtures/`` pin this).
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`: loads one artifact,
   caches decoded weights + activation quantizers, and serves through
   dynamic micro-batching (coalesce up to ``max_batch`` requests, waiting

@@ -29,7 +29,8 @@ array.  This module is the software realization of that storage format:
   startup, refusing to serve when the replay is not bit-identical or the
   accuracy drifts beyond the recorded tolerance (:mod:`repro.serve.engine`);
 * :func:`load_model` rebuilds the architecture from the manifest (via
-  :mod:`repro.api`'s model zoo) and restores the decoded weights —
+  :mod:`repro.api`'s model zoo) and decodes every segment straight into its
+  parameter or buffer, with no decoded copy of the state in between —
   bit-identical across save/load/save round trips for every registry format,
   including sub-byte widths like posit(6,1).
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
+import io
 import json
 import os
 import struct
@@ -408,28 +410,47 @@ def _read_artifact(path: Union[str, os.PathLike]) -> tuple[dict, bytes]:
     return manifest, blob
 
 
-def _decode_segment(entry: dict, raw: bytes) -> np.ndarray:
-    """Decode one tensor's packed segment bytes to a float64 array."""
-    shape = tuple(int(dim) for dim in entry["shape"])
-    count = int(np.prod(shape)) if shape else 1
-    if entry["format"] == RAW_FP32:
-        values = np.frombuffer(raw, dtype="<f4", count=count).astype(np.float64)
-        return values.reshape(shape)
-    fmt = parse_format(entry["format"])
-    codes = unpack_codes(raw, fmt.bits, count)
-    values = np.asarray(fmt.from_bits(codes), dtype=np.float64) * float(entry["scale"])
-    return values.reshape(shape)
+#: Values per chunk a segment is read in and per ``from_bits`` call: bounds
+#: the decode's chunk and scratch at ~1.5 MB.  A multiple of 8, so every
+#: chunk of packed codes starts on a byte boundary.
+_DECODE_BLOCK = 1 << 16
 
 
-def _decode_tensor(entry: dict, blob: bytes) -> np.ndarray:
-    """Decode one manifest tensor entry from the (v1) in-memory blob."""
-    offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-    if offset < 0 or offset + nbytes > len(blob):
+def _entry_shape(entry: dict) -> tuple:
+    return tuple(int(dim) for dim in entry["shape"])
+
+
+def _decode_segment(entry: dict, chunks, out: np.ndarray) -> np.ndarray:
+    """Decode one tensor's segment chunks into ``out``, in place; returns it.
+
+    ``out`` is a float64 array of the entry's shape, and ``chunks`` yields
+    the segment in pieces of :data:`_DECODE_BLOCK` values.  Packed codes go
+    through the format's ``from_bits`` (so the codec profiler sees weight
+    decode) and are scaled in place; a scale of 1.0 skips the multiply,
+    which would not change a bit.
+    """
+    if not (out.dtype == np.float64 and out.flags.c_contiguous):
+        out[...] = _decode_segment(entry, chunks, np.empty(out.shape))
+        return out
+    flat = out.reshape(-1)
+    fmt = None if entry["format"] == RAW_FP32 else parse_format(entry["format"])
+    scale = float(entry["scale"])
+    start = 0
+    for chunk in chunks:
+        block = flat[start:start + _DECODE_BLOCK]
+        if fmt is None:
+            block[...] = np.frombuffer(chunk, dtype="<f4", count=block.size)
+        else:
+            block[...] = fmt.from_bits(unpack_codes(chunk, fmt.bits,
+                                                    block.size))
+            if scale != 1.0:
+                block *= scale
+        start += block.size
+    if start != flat.size:
         raise ArtifactError(
-            f"tensor {entry.get('name')!r} spans [{offset}, {offset + nbytes}) "
-            f"outside the {len(blob)}-byte blob"
-        )
-    return _decode_segment(entry, blob[offset:offset + nbytes])
+            f"tensor {entry['name']!r}: segment holds {start} of "
+            f"{flat.size} values")
+    return out
 
 
 def _check_v2_length(path, manifest, blob_offset, file_size) -> int:
@@ -458,62 +479,91 @@ def _check_v2_length(path, manifest, blob_offset, file_size) -> int:
     return declared
 
 
-def _read_segment(handle, path, entry, blob_offset, declared,
-                  verify: bool = True) -> bytes:
-    """Seek to and read one tensor's segment; verify its checksum."""
+def _read_segment(handle, path, entry, blob_offset,
+                  declared) -> Iterator[bytes]:
+    """Read one tensor's segment in chunks of whole values; verify it last.
+
+    Each chunk holds :data:`_DECODE_BLOCK` values (the last may hold
+    fewer), so no segment is ever resident whole.  The checksum is checked
+    after the last chunk: whatever a consumer builds from the chunks is
+    verified only once the iterator is exhausted without raising.
+    """
     offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
     if offset < 0 or offset + nbytes > declared:
         raise ArtifactError(
             f"tensor {entry.get('name')!r} spans [{offset}, {offset + nbytes}) "
             f"outside the {declared}-byte blob")
     handle.seek(blob_offset + offset)
-    raw = handle.read(nbytes)
-    if len(raw) < nbytes:
-        raise ArtifactError(
-            f"{path}: truncated blob; tensor {entry['name']!r} segment is "
-            f"incomplete")
-    digest = entry.get("sha256")
-    if verify and digest is not None and digest != _blob_sha256(raw):
+    digest = hashlib.sha256()
+    bits = (32 if entry["format"] == RAW_FP32
+            else parse_format(entry["format"]).bits)
+    step = _DECODE_BLOCK * bits // 8
+    for start in range(0, nbytes, step):
+        size = min(step, nbytes - start)
+        chunk = handle.read(size)
+        if len(chunk) < size:
+            raise ArtifactError(
+                f"{path}: truncated blob; tensor {entry['name']!r} segment "
+                f"is incomplete")
+        digest.update(chunk)
+        yield chunk
+    expected = entry.get("sha256")
+    if expected is not None and expected != digest.hexdigest():
         raise ArtifactError(
             f"{path}: segment checksum mismatch for tensor "
             f"{entry['name']!r} (corrupted weights)")
-    return raw
 
 
-def iter_tensors(path: Union[str, os.PathLike]
-                 ) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield ``(name, array)`` pairs, decoding **one tensor at a time**.
+def _iter_segments(path: str) -> Iterator[tuple[dict, Iterator]]:
+    """Yield ``(entry, chunks)`` per tensor; see :func:`_read_segment`.
 
-    The streaming read path: for v2 artifacts only one packed segment (plus
-    its decode scratch) is resident at a time, so peak extra memory is
-    bounded by the largest single tensor segment, not the whole blob —
-    the manifest is parsed once and each segment is seeked to directly.
-    v1 artifacts have only a monolithic checksum, so they are validated
-    whole-blob exactly as the v1 reader did, then decoded entry by entry.
+    v2 seeks to one segment at a time and verifies its own SHA-256 as the
+    chunks are consumed (each tensor's chunks must be exhausted before the
+    next tensor is asked for).  v1 has only the monolithic checksum, so
+    the whole blob is validated first, exactly as the v1 reader did, and
+    its segments are then read back from memory the same way.
     """
-    path = os.fspath(path)
     with open(path, "rb") as handle:
         version, manifest, blob_offset = _read_header(handle, path)
         if version >= 2:
             file_size = os.fstat(handle.fileno()).st_size
             declared = _check_v2_length(path, manifest, blob_offset, file_size)
             for entry in manifest["tensors"]:
-                raw = _read_segment(handle, path, entry, blob_offset, declared)
-                yield entry["name"], _decode_segment(entry, raw)
+                yield entry, _read_segment(handle, path, entry, blob_offset,
+                                           declared)
             return
     manifest, blob = _read_artifact(path)
+    handle = io.BytesIO(blob)
     for entry in manifest["tensors"]:
-        yield entry["name"], _decode_tensor(entry, blob)
+        yield entry, _read_segment(handle, path, entry, 0, len(blob))
+
+
+def iter_tensors(path: Union[str, os.PathLike]
+                 ) -> Iterator[tuple[str, np.ndarray]]:
+    """Yield ``(name, array)`` pairs, decoding **one tensor at a time**.
+
+    The streaming read path: a v2 segment is read, checksummed and decoded
+    in chunks of 65,536 values, so beyond the arrays it yields, the decode
+    holds about 1.5 MB of chunk and scratch, however large the tensor or
+    the blob.  Each yielded array is a fresh float64 allocation, returned
+    once its segment's checksum has passed.  v1 artifacts have only a
+    monolithic checksum, so they are validated whole-blob exactly as the
+    v1 reader did, then decoded entry by entry.
+    """
+    for entry, chunks in _iter_segments(os.fspath(path)):
+        yield entry["name"], _decode_segment(entry, chunks,
+                                             np.empty(_entry_shape(entry)))
 
 
 def load_state(path: Union[str, os.PathLike]) -> tuple[dict, dict]:
     """Decode an artifact into ``(state_dict, manifest)``.
 
     The state dict maps tensor names to float64 arrays, directly loadable
-    with :meth:`repro.nn.Module.load_state_dict`.  v2 artifacts are decoded
-    through the streaming path (:func:`iter_tensors`): the returned arrays
-    are the only whole-model allocation; the packed file is never held in
-    memory at once.
+    with :meth:`repro.nn.Module.load_state_dict`.  Decoding streams through
+    :func:`iter_tensors`: the returned arrays are the only whole-model
+    allocation; the packed file is never held in memory at once (v2).  To
+    fill a model, :func:`load_model` decodes straight into its arrays
+    instead, without this second copy of the state.
     """
     path = os.fspath(path)
     manifest = read_manifest(path)
@@ -539,24 +589,53 @@ def _rebuild_model(manifest: dict) -> Module:
     return _build_model(config, int(info.get("in_features", 0) or 1))
 
 
+def _model_arrays(model: Module, manifest: dict) -> dict:
+    """Map each manifest tensor to the model array it decodes into.
+
+    Raises :class:`ArtifactError` when names or shapes disagree, before
+    anything is written.
+    """
+    arrays = {name: param.data for name, param in model.named_parameters()}
+    arrays.update((name, np.asarray(buffer))
+                  for name, buffer in model.named_buffers())
+    stored = {entry["name"]: _entry_shape(entry)
+              for entry in manifest["tensors"]}
+    held = {name: array.shape for name, array in arrays.items()}
+    misfits = [f"{name}: model {held.get(name)}, artifact {stored.get(name)}"
+               for name in sorted(set(held) | set(stored))
+               if held.get(name) != stored.get(name)]
+    if misfits:
+        raise ArtifactError(
+            f"artifact state does not fit the model: {'; '.join(misfits)}")
+    return arrays
+
+
 def load_model(path: Union[str, os.PathLike],
                model: Optional[Module] = None) -> tuple[Module, dict]:
     """Load an artifact into a model; returns ``(model, manifest)``.
 
     With ``model=None`` the architecture is rebuilt from the manifest's
-    ``model`` block; otherwise the decoded state is loaded into the given
-    module (shapes and names must match).  The returned model is in eval
-    mode with weights decoded onto each tensor's format grid.
+    ``model`` block; otherwise the given module is filled (names and
+    shapes must match).  Either way the names and shapes are checked
+    against the manifest first, then every segment is decoded in place,
+    straight into its parameter or buffer: no decoded state dict is built,
+    so the extra memory is the same ~1.5 MB of chunk and scratch as
+    :func:`iter_tensors`.  A caller's model is written only after the
+    whole artifact has passed its checksums, so a misfit or a corrupted
+    file raises :class:`ArtifactError` and leaves it untouched.  The
+    returned model is in eval mode with weights decoded onto each tensor's
+    format grid.
     """
-    state, manifest = load_state(path)
-    if model is None:
-        model = _rebuild_model(manifest)
-    try:
-        model.load_state_dict(state)
-    except (KeyError, ValueError) as exc:
-        raise ArtifactError(f"artifact state does not fit the model: {exc}") from exc
-    model.eval()
-    return model, manifest
+    path = os.fspath(path)
+    manifest = read_manifest(path)
+    target = _rebuild_model(manifest) if model is None else model
+    arrays = _model_arrays(target, manifest)
+    if model is not None:
+        artifact_info(path)
+    for entry, chunks in _iter_segments(path):
+        _decode_segment(entry, chunks, arrays[entry["name"]])
+    target.eval()
+    return target, manifest
 
 
 def artifact_info(path: Union[str, os.PathLike]) -> dict:
@@ -568,15 +647,10 @@ def artifact_info(path: Union[str, os.PathLike]) -> dict:
     corruption error.
     """
     path = os.fspath(path)
-    with open(path, "rb") as handle:
-        version, manifest, blob_offset = _read_header(handle, path)
-        if version >= 2:
-            file_size = os.fstat(handle.fileno()).st_size
-            declared = _check_v2_length(path, manifest, blob_offset, file_size)
-            for entry in manifest["tensors"]:
-                _read_segment(handle, path, entry, blob_offset, declared)
-            return manifest
-    manifest, _blob = _read_artifact(path)
+    manifest = read_manifest(path)
+    for _entry, chunks in _iter_segments(path):
+        for _chunk in chunks:
+            pass
     return manifest
 
 
@@ -634,7 +708,7 @@ def format_breakdown(manifest: Mapping) -> dict:
     for entry in manifest["tensors"]:
         row = breakdown.setdefault(entry["format"],
                                    {"tensors": 0, "scalars": 0, "nbytes": 0})
-        shape = tuple(int(dim) for dim in entry["shape"])
+        shape = _entry_shape(entry)
         row["tensors"] += 1
         row["scalars"] += int(np.prod(shape)) if shape else 1
         row["nbytes"] += int(entry["nbytes"])

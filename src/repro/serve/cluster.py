@@ -289,6 +289,26 @@ class _WorkerHandle:
         self.pending: dict[int, Future] = {}
         self.reader: Optional[threading.Thread] = None
 
+    def send(self, message: dict) -> None:
+        """Write one message down the pipe; ``OSError`` once it is closed."""
+        with self.send_lock:
+            if self.conn is None:
+                raise OSError(f"worker {self.index} pipe is closed")
+            self.conn.send(message)
+
+    def close_conn(self) -> None:
+        """Close the supervisor's end of the pipe; only one caller does.
+
+        ``Connection.close`` is not thread-safe: two closers can both find
+        the pipe open and close its descriptor twice (``EBADF``, or worse,
+        a descriptor already reused).  Swapping ``conn`` out under the
+        send lock hands the pipe to exactly one closer, never mid-send.
+        """
+        with self.send_lock:
+            conn, self.conn = self.conn, None
+        if conn is not None:
+            conn.close()
+
     def fail_pending(self, reason: str) -> None:
         with self.pending_lock:
             pending, self.pending = self.pending, {}
@@ -380,6 +400,11 @@ class ServeCluster:
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         """(Re)start one worker: fresh pipe, process, and reader thread."""
+        if handle.reader is not None:
+            # A restart: the dead worker's reader is at EOF; close its pipe
+            # once the reader is off it.
+            handle.reader.join(timeout=5.0)
+            handle.close_conn()
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
@@ -533,8 +558,7 @@ class ServeCluster:
                 handle.process.terminate()
             if handle.process is not None:
                 handle.process.join(timeout=5.0)
-            if handle.conn is not None:
-                handle.conn.close()
+            handle.close_conn()
 
     def stop(self, drain_timeout_s: float = 10.0) -> None:
         """Drain and stop every worker, then the monitor (idempotent)."""
@@ -547,11 +571,10 @@ class ServeCluster:
         with self._handles_lock:
             handles = list(self._handles)
         for handle in handles:
-            if handle.conn is not None and handle.state == _READY:
+            if handle.state == _READY:
                 try:
-                    with handle.send_lock:
-                        handle.conn.send({"kind": "shutdown"})
-                except (BrokenPipeError, OSError):
+                    handle.send({"kind": "shutdown"})
+                except OSError:
                     pass
         deadline = time.monotonic() + drain_timeout_s
         for handle in handles:
@@ -609,9 +632,8 @@ class ServeCluster:
             handle.pending[request_id] = future
             handle.outstanding += 1
         try:
-            with handle.send_lock:
-                handle.conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
+            handle.send(message)
+        except OSError as exc:
             with handle.pending_lock:
                 handle.pending.pop(request_id, None)
                 handle.outstanding = max(0, handle.outstanding - 1)
@@ -818,20 +840,15 @@ class ServeCluster:
         while handle.outstanding > 0 and time.monotonic() < deadline:
             time.sleep(0.02)
         try:
-            with handle.send_lock:
-                handle.conn.send({"kind": "shutdown"})
-        except (BrokenPipeError, OSError, AttributeError):
+            handle.send({"kind": "shutdown"})
+        except OSError:
             pass
         if handle.process is not None:
             handle.process.join(timeout=10.0)
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5.0)
-        if handle.conn is not None:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+        handle.close_conn()
         with self._handles_lock:
             if handle in self._retired:
                 self._retired.remove(handle)

@@ -428,3 +428,120 @@ def test_format_breakdown_accounts_for_every_byte(tmp_path):
             == manifest["blob_nbytes"])
     assert (sum(row["tensors"] for row in breakdown.values())
             == len(manifest["tensors"]))
+
+
+# --------------------------------------------------------------------- #
+# load_model decodes in place
+# --------------------------------------------------------------------- #
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "fixtures")
+
+
+def state_bytes(model):
+    """Every parameter and buffer's exact float64 bytes, by name."""
+    return {name: np.ascontiguousarray(array, dtype=np.float64).tobytes()
+            for name, array in model.state_dict().items()}
+
+
+@pytest.mark.parametrize("name", ["v1_0_posit8", "v1_0_fixed16",
+                                  "v1_1_posit8_guardrail", "v2_0_mixed"])
+def test_load_model_matches_the_golden_decoded_state(name):
+    """The in-place decode reproduces each frozen fixture's recorded state,
+    bit for bit, and agrees with ``load_state``."""
+    import hashlib
+
+    path = os.path.join(GOLDEN_DIR, f"{name}.rpak")
+    with open(os.path.join(GOLDEN_DIR, "expected", f"{name}.json"),
+              encoding="utf-8") as handle:
+        expected = json.load(handle)["state_sha256"]
+    model, _manifest = load_model(path)
+    loaded = state_bytes(model)
+    assert {key: hashlib.sha256(raw).hexdigest()
+            for key, raw in loaded.items()} == expected
+    state, _ = load_state(path)
+    assert loaded == {key: array.tobytes() for key, array in state.items()}
+
+
+@pytest.mark.parametrize("use_scaling", [True, False])
+def test_load_model_matches_load_state_on_wide_and_raw_tensors(tmp_path,
+                                                              use_scaling):
+    """posit(32,2) and bfloat16 weights next to raw-fp32 BatchNorm buffers,
+    with Eq. (2) scales and with the unit scale whose multiply is skipped."""
+    from repro.models import tiny_resnet
+
+    def build(seed):
+        return tiny_resnet(num_classes=4, rng=np.random.default_rng(seed))
+
+    model = build(0)
+    for _name, buffer in model.named_buffers():
+        np.asarray(buffer)[...] = np.random.default_rng(1).normal(
+            size=np.asarray(buffer).shape)
+    names = [name for name, _ in model.named_parameters()]
+    format_map = {name: ("posit(32,2)", "bfloat16")[index % 2]
+                  for index, name in enumerate(names)}
+    path = tmp_path / "wide.rpak"
+    manifest = save_model(model, path, format_map=format_map,
+                          use_scaling=use_scaling)
+    scales = {t["name"]: t["scale"] for t in manifest["tensors"]}
+    assert any(scale != 1.0 for scale in scales.values()) == use_scaling
+
+    loaded, _ = load_model(path, model=build(2))
+    state, _ = load_state(path)
+    assert state_bytes(loaded) == {key: array.tobytes()
+                                   for key, array in state.items()}
+    expected = reference_state(model, format_map, scales)
+    for name in names:
+        assert np.array_equal(state[name], expected[name]), name
+    for name, buffer in model.named_buffers():
+        stored = np.asarray(buffer, dtype=np.float32).astype(np.float64)
+        assert np.array_equal(state[name], stored), name
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_corrupted_artifact_leaves_the_callers_model_untouched(tmp_path,
+                                                               version):
+    """The checksums all pass before the caller's model is written, so a
+    flipped byte in the *last* segment cannot leave the earlier tensors
+    half loaded."""
+    path = tmp_path / "model.rpak"
+    save_model(tiny_model(seed=1, hidden=(6, 5)), path, version=version)
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01
+    path.write_bytes(bytes(data))
+    target = tiny_model(seed=2, hidden=(6, 5))
+    before = state_bytes(target)
+    with pytest.raises(ArtifactError, match="checksum mismatch"):
+        load_model(path, model=target)
+    assert state_bytes(target) == before
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda: MLP(5, hidden=(6,), num_classes=3, rng=np.random.default_rng(0)),
+    lambda: tiny_model(hidden=(6, 6)),
+], ids=["shape", "names"])
+def test_misfit_leaves_the_callers_model_untouched(saved, wrong):
+    target = wrong()
+    before = state_bytes(target)
+    with pytest.raises(ArtifactError, match="does not fit"):
+        load_model(saved, model=target)
+    assert state_bytes(target) == before
+
+
+def test_load_model_fills_arrays_it_cannot_decode_into_directly(saved):
+    """A Fortran-ordered parameter and a float32 buffer get the decoded
+    values too (a flat view of either would be a copy, or the wrong
+    dtype), exactly as ``load_state_dict`` would write them."""
+    target = tiny_model(seed=4)
+    weight = dict(target.named_parameters())["body.0.weight"]
+    weight.data = np.asfortranarray(weight.data)
+    target.body[0].register_buffer("calls", np.zeros(2, dtype=np.float32))
+    reference = tiny_model(seed=4)
+    reference.body[0].register_buffer("calls", np.ones(2, dtype=np.float32))
+    path = saved.parent / "with_buffer.rpak"
+    save_model(reference, path)
+    state, _ = load_state(path)
+    load_model(path, model=target)
+    assert not weight.data.flags.c_contiguous
+    assert np.array_equal(weight.data, state["body.0.weight"])
+    assert target.body[0].calls.dtype == np.float32
+    assert np.array_equal(target.body[0].calls, [1.0, 1.0])

@@ -295,6 +295,114 @@ class TestClusterSupervision:
                 lambda: cluster.healthz()["status"] == "degraded")
             assert cluster.predict([np.zeros(2)])["worker"] == 1
 
+    def test_respawn_closes_the_dead_workers_pipe(self, artifact):
+        with ServeCluster(artifact, ClusterConfig(workers=1)) as cluster:
+            handle = cluster._handles[0]
+            dead_conn = handle.conn
+            os.kill(handle.pid, signal.SIGKILL)
+            assert wait_until(lambda: (handle.restarts == 1
+                                       and handle.state == "ready"))
+            assert dead_conn.closed
+            assert handle.conn is not dead_conn
+
+
+# --------------------------------------------------------------------- #
+# Pipe shutdown: every supervisor-side pipe has exactly one closer
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def recorded_pipe_closes(monkeypatch):
+    """Record every ``Connection._close`` in this process, and hold a
+    retired worker's drain inside its close until ``stop()`` has begun its
+    own sweep.
+
+    That is the interleaving in which the drain thread and ``stop()`` both
+    waited on the retired worker's ``join`` and then both closed its pipe:
+    ``Connection.close`` is not thread-safe, so the second close hit a
+    descriptor the first had already released (``EBADF``).  The
+    rendezvous makes the overlap happen on every run.
+    """
+    from multiprocessing.connection import Connection
+
+    closes, lock = [], threading.Lock()
+    drain_closing, sweep_started = threading.Event(), threading.Event()
+    close, terminate_all = Connection._close, ServeCluster._terminate_all
+
+    def recording_close(self):
+        with lock:
+            closes.append(self)  # strong refs: ids stay unique
+        if threading.current_thread().name.startswith("repro-serve-retire-"):
+            drain_closing.set()
+            sweep_started.wait(timeout=30.0)
+        close(self)
+
+    def rendezvous_terminate_all(self):
+        if self._retired:
+            drain_closing.wait(timeout=30.0)
+        sweep_started.set()
+        terminate_all(self)
+
+    monkeypatch.setattr(Connection, "_close", recording_close)
+    monkeypatch.setattr(ServeCluster, "_terminate_all",
+                        rendezvous_terminate_all)
+    return closes, drain_closing
+
+
+class TestPipeShutdown:
+    def test_retired_worker_pipe_is_closed_once(self, artifact,
+                                                recorded_pipe_closes):
+        closes, drain_closing = recorded_pipe_closes
+        with ServeCluster(artifact, ClusterConfig(workers=2)) as cluster:
+            cluster.scale_to(1)
+            (retired,) = cluster._retired
+        for thread in threading.enumerate():
+            if thread.name.startswith("repro-serve-retire-"):
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        assert drain_closing.is_set()
+        assert retired.conn is None
+        assert len({id(conn) for conn in closes}) == len(closes), (
+            "a pipe was closed twice")
+
+    def test_handle_close_conn_has_one_closer(self, monkeypatch):
+        """Two threads closing one handle's pipe at the same instant: one
+        closes it, the other finds it gone; neither raises."""
+        from multiprocessing.connection import Connection
+
+        from repro.serve.cluster import _WorkerHandle
+
+        closes, barrier = [], threading.Barrier(2)
+        close = Connection._close
+
+        def slow_close(self):
+            closes.append(self)
+            time.sleep(0.05)
+            close(self)
+
+        monkeypatch.setattr(Connection, "_close", slow_close)
+        handle = _WorkerHandle(0)
+        handle.conn, peer = mp.Pipe()
+        errors = []
+
+        def closer():
+            barrier.wait()
+            try:
+                handle.close_conn()
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=closer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        peer.close()
+        assert errors == []
+        assert handle.conn is None
+        assert len(closes) == 2  # the handle's end once, the peer once
+        with pytest.raises(OSError, match="closed"):
+            handle.send({"kind": "ping"})
+
 
 # --------------------------------------------------------------------- #
 # Worker reply path: one reply per message, errors included

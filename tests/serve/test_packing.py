@@ -6,14 +6,41 @@ import pytest
 from repro.serve import pack_codes, packed_nbytes, unpack_codes
 
 
-@pytest.mark.parametrize("bits", [1, 3, 5, 6, 7, 8, 11, 16, 24, 32])
+def reference_pack(codes, bits: int) -> bytes:
+    """The bit-matrix packer: one uint64 row of ``bits`` columns per code,
+    MSB first, flattened through ``np.packbits``.  Slow and memory-hungry,
+    but obviously the documented layout."""
+    flat = np.asarray(codes).astype(np.uint64).reshape(-1)
+    flat &= np.uint64((1 << bits) - 1)
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
+    bitmat = ((flat[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bitmat.reshape(-1)).tobytes()
+
+
+@pytest.mark.parametrize("bits", range(1, 33))
 def test_round_trip_random_codes(bits):
+    """Every width against the reference packer, across block edges
+    (65,537 codes span several blocks and end mid-byte at odd widths)."""
     rng = np.random.default_rng(bits)
-    codes = rng.integers(0, 1 << bits, size=517, dtype=np.int64)
+    for count in (0, 1, 7, 8, 9, 65_537):
+        codes = rng.integers(-(1 << 40), 1 << 40, size=count, dtype=np.int64)
+        data = pack_codes(codes, bits)
+        assert len(data) == packed_nbytes(count, bits)
+        assert data == reference_pack(codes, bits), count
+        recovered = unpack_codes(data, bits, count)
+        assert recovered.dtype.kind == "u", count
+        assert np.array_equal(recovered.astype(np.int64),
+                              codes & ((1 << bits) - 1)), count
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+def test_byte_aligned_widths_unpack_to_a_view(bits):
+    codes = np.arange(1000, dtype=np.int64) * 7
     data = pack_codes(codes, bits)
-    assert len(data) == packed_nbytes(len(codes), bits)
+    assert data == codes.astype(f">u{bits // 8}").tobytes()
     recovered = unpack_codes(data, bits, len(codes))
-    assert np.array_equal(recovered, codes)
+    assert recovered.dtype == np.dtype(f">u{bits // 8}")
+    assert np.shares_memory(recovered, np.frombuffer(data, dtype=np.uint8))
 
 
 def test_sub_byte_density():

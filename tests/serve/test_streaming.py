@@ -9,12 +9,17 @@ property that lets a large model load on a machine with little headroom.
 assumed.
 """
 
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.formats import parse_format
 from repro.models import MLP
 from repro.serve import (
     ArtifactError,
@@ -31,6 +36,27 @@ from repro.serve import (
 LAYER_WIDTH = 128
 HIDDEN_LAYERS = 64
 
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: Runs in a fresh interpreter: the high-water RSS ``load_model`` adds on
+#: top of everything it imports, against the decoded state's bytes.
+FOOTPRINT_SCRIPT = """
+import json, sys
+import repro.api  # everything load_model imports, before the baseline
+from repro.serve import load_model
+
+def vm_hwm():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+before = vm_hwm()
+model, _manifest = load_model(sys.argv[1])
+decoded = sum(param.data.nbytes for param in model.parameters())
+print(json.dumps({"growth": vm_hwm() - before, "decoded": decoded}))
+"""
+
 
 @pytest.fixture(scope="module")
 def large_artifact(tmp_path_factory):
@@ -46,6 +72,9 @@ def test_peak_extra_memory_bounded_by_largest_segment(large_artifact):
     blob_nbytes = manifest["blob_nbytes"]
     largest_segment = max(int(entry["nbytes"]) for entry in manifest["tensors"])
     assert blob_nbytes > 30 * largest_segment  # the premise: many segments
+    # Build the codec's decode tables first: they are made once per
+    # process, not per load, and would otherwise land in the window.
+    parse_format("fixed(16,13)").from_bits(0)
 
     tracemalloc.start()
     try:
@@ -63,10 +92,11 @@ def test_peak_extra_memory_bounded_by_largest_segment(large_artifact):
     assert additional < 0.6 * blob_nbytes, (
         f"streaming load used {additional} extra bytes against a "
         f"{blob_nbytes}-byte blob — looks like a whole-blob read")
-    # ...and is proportional to ONE segment's decode footprint (packed
-    # bytes + unpacked bit matrix + int64 codes + float64 values is a
-    # generous ~30x the packed segment for 16-bit codes).
-    assert additional < 30 * largest_segment, (
+    # ...and is proportional to ONE segment's decode footprint: its packed
+    # bytes (one chunk here), the codec's int64 codes and float64 values
+    # (~24 B per 2-byte code) and a transient parse of the manifest measure
+    # ~19x the packed segment; a bit-matrix unpacker (~28x) fails the bound.
+    assert additional < 24 * largest_segment, (
         f"{additional} extra bytes is not bounded by the largest "
         f"segment ({largest_segment} bytes)")
 
@@ -160,3 +190,31 @@ def test_streamed_state_loads_into_the_model(large_artifact):
     for name, param in model.named_parameters():
         assert np.array_equal(param.data, state[name]), name
     assert os.path.getsize(path) < 4 * 1024 * 1024  # the fixture stays small
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the high-water RSS (VmHWM) from /proc")
+def test_load_model_footprint_in_a_fresh_process(tmp_path):
+    """``load_model`` decodes straight into the rebuilt model.  In a fresh
+    process its high-water RSS grows by the model itself plus the chunked
+    decode's scratch (~1.3x the decoded state), where a decoded state dict
+    and ``load_state_dict``'s copy of it read ~4.2x."""
+    path = tmp_path / "wide.rpak"
+    model = MLP(2, hidden=(2048, 1024), num_classes=3,
+                rng=np.random.default_rng(0))
+    save_model(model, path, fmt="posit(8,1)",
+               model_info={"model": "mlp",
+                           "model_kwargs": {"hidden": [2048, 1024]},
+                           "num_classes": 3, "in_features": 2, "seed": 0})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else []))}
+    completed = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, str(path)], env=env,
+        capture_output=True, text=True, timeout=120, check=True)
+    row = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert row["decoded"] == sum(p.data.nbytes for p in model.parameters())
+    ratio = row["growth"] / row["decoded"]
+    assert ratio < 1.6, (
+        f"load_model grew VmHWM by {row['growth']} bytes, {ratio:.2f}x the "
+        f"{row['decoded']}-byte decoded state")
