@@ -37,11 +37,12 @@ in posit is *served* in posit.  Four layers, composable separately:
   each run one BLAS thread per core.
 * :mod:`repro.serve.control` / :mod:`repro.serve.metrics` — the adaptive
   control plane: a lock-cheap rolling-window metrics collector sampled by
-  every engine (arrivals, rejects, batch occupancy, per-stage p50/p99)
-  feeds a periodic :class:`Controller` that autoscales the cluster between
-  ``min_workers``/``max_workers`` (capped at the cores the process may
-  use, :func:`~repro.serve.host.effective_cores` — two workers on one
-  core is slower than one), AIMD-tunes ``max_wait_ms``
+  every engine (arrivals, rejects, batch occupancy, per-stage latency
+  histograms, which merge exactly across workers) feeds ``/stats``,
+  ``/metrics`` and a periodic :class:`Controller` that autoscales the
+  cluster between ``min_workers``/``max_workers`` (capped at the cores
+  the process may use, :func:`~repro.serve.host.effective_cores` — two
+  workers on one core is slower than one), AIMD-tunes ``max_wait_ms``
   against a p99 SLO, and grades load as ok/busy/overloaded.  Overflowing
   the bounded admission queue is backpressure, not failure:
   :class:`AdmissionError` maps to HTTP 429 + ``Retry-After``.

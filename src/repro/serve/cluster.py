@@ -50,7 +50,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from ..obs.tracing import TraceConfig, Tracer
-from .control import load_state as classify_load
+from .control import load_state as classify_load, observation
 from .engine import AdmissionError, BatchingConfig, GuardrailError, InferenceEngine
 from .host import blas_budget, blas_threads, effective_cores, set_blas_threads
 from .metrics import MetricsCollector, merge_snapshots
@@ -99,9 +99,10 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
     submits a ``predict`` message's samples to the engine itself, and the
     done-callback of whichever of their futures resolves last sends the
     reply, on the batcher thread.  A ``blas_threads`` control replies the
-    same way from its between-batches call; ``stats``, ``metrics``,
-    ``ping`` and the rest of ``control`` are answered inline.  Every
-    message gets exactly one reply: a rejected submit (``AdmissionError``,
+    same way from its between-batches call; ``stats`` (the engine's stats,
+    metrics snapshot included: every supervisor poll reads it), ``ping``
+    and the rest of ``control`` are answered inline.  Every message gets
+    exactly one reply: a rejected submit (``AdmissionError``,
     ``ValueError``) or a reply that fails to build becomes an error reply.
     On shutdown the engine drains its queued requests, whose callbacks
     still reply.
@@ -200,17 +201,6 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
         if kind == "stats":
             return [], lambda _: {**engine.stats(), "worker": index,
                                   "pid": os.getpid()}
-        if kind == "metrics":
-            # The control-plane poll: cheap rolling-window signals only
-            # (no energy pricing, no lifetime percentile scan).
-            return [], lambda _: {
-                "worker": index,
-                "queue_depth": engine.queue_depth,
-                "queue_capacity": engine.batching.queue_size,
-                "max_wait_ms": engine.max_wait_ms,
-                "load_state": engine.load_state(),
-                "metrics": engine.metrics.snapshot(),
-            }
         if kind == "control":
             # Actuation from the supervisor's controller.
             if "max_wait_ms" in message:
@@ -854,12 +844,12 @@ class ServeCluster:
                 self._retired.remove(handle)
 
     def worker_metrics(self, timeout: float = 5.0) -> list[dict]:
-        """Per-worker control-plane rows (queue depth, window snapshot)."""
+        """Every live worker's engine ``stats()`` row (queue depth, tuned
+        wait, metrics snapshot); a worker failing the poll is left out."""
         rows = []
         for handle in self._live_handles():
             try:
-                rows.append(self._request(handle, {"kind": "metrics"},
-                                          timeout))
+                rows.append(self._request(handle, {"kind": "stats"}, timeout))
             except (WorkerCrashed, FuturesTimeout, ClusterError, RuntimeError):
                 continue
         return rows
@@ -879,25 +869,12 @@ class ServeCluster:
     def control_snapshot(self, timeout: float = 5.0) -> dict:
         """One controller observation over the whole cluster."""
         rows = self.worker_metrics(timeout)
-        alive = len(self._live_handles())
-        merged = merge_snapshots([row["metrics"] for row in rows])
-        total = merged["latency_ms"].get("total", {})
-        return {
-            "queue_depth": sum(row["queue_depth"] for row in rows),
-            "queue_capacity": max(1, sum(row["queue_capacity"]
-                                         for row in rows)),
-            "p99_ms": total.get("p99", 0.0),
-            "latency_samples": total.get("count", 0),
-            "arrival_rate_rps": merged["rates"].get("arrivals", 0.0),
-            "completion_rate_rps": merged["rates"].get("completed", 0.0),
-            "rejected_recent": merged["counts"].get("rejected", 0.0),
-            "batch_occupancy": merged["gauges"].get(
-                "batch_occupancy", {}).get("mean", 0.0),
-            "batch_size_mean": merged["gauges"].get(
-                "batch_size", {}).get("mean", 0.0),
-            "workers": self._target_workers,
-            "workers_alive": alive,
-        }
+        return observation(
+            merge_snapshots([row["metrics"] for row in rows]),
+            queue_depth=sum(row["queue_depth"] for row in rows),
+            queue_capacity=max(1, sum(row["queue_capacity"] for row in rows)),
+            workers=self._target_workers,
+            workers_alive=len(self._live_handles()))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -965,28 +942,18 @@ class ServeCluster:
     def stats(self, timeout: float = 10.0) -> dict:
         """Aggregate worker stats plus supervisor-side dispatch counters.
 
-        Requests/batches/energy are sums over live workers; the latency
-        percentiles are request-weighted means of the per-worker
-        percentiles (exact merging would need the raw samples), with the
-        per-worker rows included for anyone who wants the real thing.
+        The live workers' metrics snapshots merge into ``metrics``, and the
+        top-level requests/rejected/batches and latency percentiles are read
+        from that merge: the percentiles are those of every worker's
+        requests together, exact to a histogram bin (1.6%).  Energy sums
+        over the workers; the per-worker rows are included as they came.
         """
-        per_worker = []
-        for handle in self._live_handles():
-            try:
-                per_worker.append(self._request(handle, {"kind": "stats"},
-                                                timeout))
-            except (WorkerCrashed, FuturesTimeout, ClusterError):
-                continue
-        requests = sum(row["requests"] for row in per_worker)
-        batches = sum(row["batches"] for row in per_worker)
-        batched = sum(row["mean_batch_size"] * row["batches"]
-                      for row in per_worker)
-
-        def weighted(key: str) -> float:
-            if not requests:
-                return 0.0
-            return sum(row[key] * row["requests"] for row in per_worker) / requests
-
+        per_worker = self.worker_metrics(timeout)
+        metrics = merge_snapshots([row["metrics"] for row in per_worker])
+        lifetime = metrics["lifetime"]
+        requests = lifetime.get("completed", 0)
+        batches = lifetime.get("batches", 0)
+        total = metrics["latency_ms"].get("total", {})
         with self._handles_lock:
             handles = list(self._handles)
         return {
@@ -1001,15 +968,14 @@ class ServeCluster:
             "restarts": sum(handle.restarts for handle in handles),
             "dispatched": [handle.dispatched for handle in handles],
             "requests": requests,
-            "rejected": sum(row.get("rejected", 0) for row in per_worker),
+            "rejected": lifetime.get("rejected", 0),
             "batches": batches,
-            "mean_batch_size": (batched / batches) if batches else 0.0,
-            "latency_p50_ms": weighted("latency_p50_ms"),
-            "latency_p99_ms": weighted("latency_p99_ms"),
+            "mean_batch_size": (requests / batches) if batches else 0.0,
+            "latency_p50_ms": total.get("p50", 0.0),
+            "latency_p99_ms": total.get("p99", 0.0),
             "energy_uj_total": sum(row["energy_uj_total"] for row in per_worker),
             "uptime_s": time.perf_counter() - self._started_at,
-            "metrics": merge_snapshots([row["metrics"] for row in per_worker
-                                        if "metrics" in row]),
+            "metrics": metrics,
             # The supervisor's ring holds the merged (cross-process) traces,
             # so its summary — not the per-worker ones — carries the
             # slow-request exemplars clients should start from.

@@ -29,7 +29,8 @@ blew p99 out to 190 ms.  This module closes the loop:
 * :class:`EnginePlant` / :class:`ClusterPlant` — adapters giving the
   controller one observe/actuate surface over an in-process
   :class:`~repro.serve.engine.InferenceEngine` or a multi-process
-  :class:`~repro.serve.cluster.ServeCluster`.
+  :class:`~repro.serve.cluster.ServeCluster`, both read by
+  :func:`observation` from a (merged) metrics snapshot.
 
 * :func:`load_state` — the shared ok/busy/overloaded classification from
   queue utilization and recent rejections; the transports surface it
@@ -54,7 +55,7 @@ from typing import Callable, Optional
 from .host import effective_cores
 
 __all__ = ["ControlConfig", "Controller", "EnginePlant", "ClusterPlant",
-           "load_state", "LOAD_STATES"]
+           "load_state", "observation", "LOAD_STATES"]
 
 #: The /healthz load states, from healthy to dead.  ``degraded``/``down``
 #: are liveness states (cluster workers missing); ``busy``/``overloaded``
@@ -79,6 +80,28 @@ def load_state(queue_utilization: float, recent_rejects: float = 0.0) -> str:
     if queue_utilization >= _BUSY_UTILIZATION:
         return "busy"
     return "ok"
+
+
+def observation(snapshot: dict, queue_depth: int, queue_capacity: int,
+                workers: int, workers_alive: int) -> dict:
+    """One controller reading from a metrics snapshot (one engine's, or
+    :func:`~repro.serve.metrics.merge_snapshots` of a cluster's workers)."""
+    total = snapshot["latency_ms"].get("total", {})
+    return {
+        "queue_depth": queue_depth,
+        "queue_capacity": queue_capacity,
+        "p99_ms": total.get("p99", 0.0),
+        "latency_samples": total.get("count", 0),
+        "arrival_rate_rps": snapshot["rates"].get("arrivals", 0.0),
+        "completion_rate_rps": snapshot["rates"].get("completed", 0.0),
+        "rejected_recent": snapshot["counts"].get("rejected", 0.0),
+        "batch_occupancy": snapshot["gauges"].get(
+            "batch_occupancy", {}).get("mean", 0.0),
+        "batch_size_mean": snapshot["gauges"].get(
+            "batch_size", {}).get("mean", 0.0),
+        "workers": workers,
+        "workers_alive": workers_alive,
+    }
 
 
 @dataclass
@@ -142,23 +165,10 @@ class EnginePlant:
         self.engine = engine
 
     def observe(self) -> Optional[dict]:
-        snapshot = self.engine.metrics.snapshot()
-        total = snapshot["latency_ms"].get("total", {})
-        return {
-            "queue_depth": self.engine.queue_depth,
-            "queue_capacity": self.engine.batching.queue_size,
-            "p99_ms": total.get("p99", 0.0),
-            "latency_samples": total.get("count", 0),
-            "arrival_rate_rps": snapshot["rates"].get("arrivals", 0.0),
-            "completion_rate_rps": snapshot["rates"].get("completed", 0.0),
-            "rejected_recent": snapshot["counts"].get("rejected", 0.0),
-            "batch_occupancy": snapshot["gauges"].get(
-                "batch_occupancy", {}).get("mean", 0.0),
-            "batch_size_mean": snapshot["gauges"].get(
-                "batch_size", {}).get("mean", 0.0),
-            "workers": 1,
-            "workers_alive": 1,
-        }
+        return observation(self.engine.metrics.snapshot(),
+                           queue_depth=self.engine.queue_depth,
+                           queue_capacity=self.engine.batching.queue_size,
+                           workers=1, workers_alive=1)
 
     def get_max_wait_ms(self) -> float:
         return self.engine.max_wait_ms

@@ -19,11 +19,12 @@ independent of which batch it landed in — batched predictions are
 bit-identical to single-sample ones, which the test suite and the CI smoke
 job assert.
 
-Accounting: each request records queue + compute latency; each coalesced
-batch is priced through the hardware model
-(:func:`repro.hardware.inference_step_report` — the artifact format's MAC
-datapath and packed-weight memory traffic), giving the per-request energy
-column of :meth:`InferenceEngine.stats`.
+Accounting: each request records queue + compute latency and each
+coalesced batch counts once, all in the engine's one
+:class:`~repro.serve.metrics.MetricsCollector`; batches are priced through
+the hardware model (:func:`repro.hardware.inference_step_report` — the
+artifact format's MAC datapath and packed-weight memory traffic), giving
+the per-request energy column of :meth:`InferenceEngine.stats`.
 
 Startup guardrail (artifact v1.1): when the manifest carries a
 ``guardrail`` block (a held-out calibration batch with its expected
@@ -135,9 +136,6 @@ class _Request:
 #: Wakes a batcher blocked on an empty queue (stop, a between-batches call).
 _WAKE = object()
 
-#: Latency samples retained for the percentile columns of ``stats()``.
-_LATENCY_WINDOW = 65536
-
 
 class InferenceEngine:
     """Serve predictions from a packed artifact with dynamic micro-batching.
@@ -208,7 +206,8 @@ class InferenceEngine:
         #: seeded from the immutable BatchingConfig.
         self._max_wait_ms = float(self.batching.max_wait_ms)
         #: Rolling-window signals the controller steers from (arrival and
-        #: completion rates, queue depth, per-stage latency, rejects).
+        #: completion rates, queue depth, per-stage latency, rejects), and
+        #: the lifetime totals ``stats()`` reports.
         self.metrics = MetricsCollector()
         self._stop_event = threading.Event()
         self._worker: Optional[threading.Thread] = None
@@ -221,14 +220,8 @@ class InferenceEngine:
         shape = model_block.get("input_shape")
         self._input_shape = tuple(int(dim) for dim in shape) if shape else None
         self._started_at = time.perf_counter()
-        self._lock = threading.Lock()
-        self._latencies: list[float] = []
-        self._requests = 0
-        self._rejected = 0
-        self._batches = 0
-        self._batched_samples = 0
+        #: Written by the batcher thread only.
         self._max_observed_batch = 0
-        self._energy_uj = 0.0
         self._compute_uj_per_sample, self._memory_uj_per_batch = (
             self._price_sample(input_hw))
         self.guardrail_status = "absent"
@@ -455,8 +448,6 @@ class InferenceEngine:
         try:
             self._queue.put_nowait(request)
         except queue.Full:
-            with self._lock:
-                self._rejected += 1
             self.metrics.count("rejected")
             if request.trace is not None:
                 now = time.perf_counter()
@@ -653,6 +644,7 @@ class InferenceEngine:
                 traced = [r for r in batch if r.trace is not None]
             done = time.perf_counter()
             self.metrics.count("completed", len(batch))
+            self.metrics.count("batches")
             self.metrics.gauge("batch_size", len(batch))
             self.metrics.gauge("batch_occupancy",
                                len(batch) / self.batching.max_batch)
@@ -662,17 +654,7 @@ class InferenceEngine:
                 self.metrics.observe("queue", forward_start - request.enqueued_at)
                 self.metrics.observe("compute", compute_s)
                 self.metrics.observe("total", done - request.enqueued_at)
-            with self._lock:
-                self._requests += len(batch)
-                self._batches += 1
-                self._batched_samples += len(batch)
-                self._max_observed_batch = max(self._max_observed_batch, len(batch))
-                self._energy_uj += (self._compute_uj_per_sample * len(batch)
-                                    + self._memory_uj_per_batch)
-                for request in batch:
-                    self._latencies.append(done - request.enqueued_at)
-                if len(self._latencies) > _LATENCY_WINDOW:
-                    del self._latencies[:-_LATENCY_WINDOW]
+            self._max_observed_batch = max(self._max_observed_batch, len(batch))
             if traced:
                 codec_ns = (None if codec_mark is None
                             else _codec_profiler.total_ns() - codec_mark)
@@ -762,15 +744,15 @@ class InferenceEngine:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        """Counters + latency percentiles + hardware-model energy totals."""
-        with self._lock:
-            latencies = np.asarray(self._latencies, dtype=np.float64)
-            requests, batches = self._requests, self._batches
-            batched, rejected = self._batched_samples, self._rejected
-            max_batch_seen = self._max_observed_batch
-            energy = self._energy_uj
-        percentile = (lambda q: float(np.percentile(latencies, q) * 1000.0)
-                      if latencies.size else 0.0)
+        """Counters + latency percentiles + hardware-model energy totals,
+        all read from one metrics snapshot (percentiles: its window)."""
+        snapshot = self.metrics.snapshot()
+        lifetime = snapshot["lifetime"]
+        requests = lifetime.get("completed", 0)
+        batches = lifetime.get("batches", 0)
+        total = snapshot["latency_ms"].get("total", {})
+        energy = (self._compute_uj_per_sample * requests
+                  + self._memory_uj_per_batch * batches)
         payload = {
             "artifact": self.artifact_path,
             "format": self.format.spec(),
@@ -782,18 +764,18 @@ class InferenceEngine:
             "model": (self.manifest.get("model") or {}).get("model"),
             "guardrail": self.guardrail_status,
             "requests": requests,
-            "rejected": rejected,
+            "rejected": lifetime.get("rejected", 0),
             "batches": batches,
-            "mean_batch_size": (batched / batches) if batches else 0.0,
-            "max_batch_seen": max_batch_seen,
+            "mean_batch_size": (requests / batches) if batches else 0.0,
+            "max_batch_seen": self._max_observed_batch,
             "max_batch": self.batching.max_batch,
             "max_wait_ms": self._max_wait_ms,
             "queue_depth": self._queue.qsize(),
             "queue_capacity": self.batching.queue_size,
             "load_state": self.load_state(),
-            "metrics": self.metrics.snapshot(),
-            "latency_p50_ms": percentile(50),
-            "latency_p99_ms": percentile(99),
+            "metrics": snapshot,
+            "latency_p50_ms": total.get("p50", 0.0),
+            "latency_p99_ms": total.get("p99", 0.0),
             "energy_uj_per_sample": (self._compute_uj_per_sample
                                      + self._memory_uj_per_batch),
             "energy_uj_compute_per_sample": self._compute_uj_per_sample,

@@ -8,16 +8,24 @@ signals must be
 * **rolling** — a controller reacting to lifetime averages never reacts
   at all; every query aggregates only the last ``window_s`` seconds;
 * **cheap on the hot path** — every request records two or three samples,
-  so recording must be O(1) appends under one uncontended lock (no
-  sorting, no allocation churn, no percentile math until someone asks);
+  so recording must be O(1) under one uncontended lock (a counter add or
+  one histogram-bin increment: no sorting, no percentile math until
+  someone asks);
 * **deterministic under test** — the clock is injectable, so unit tests
   drive time explicitly instead of sleeping.
 
 Implementation: a ring of ``buckets`` time buckets, each ``window_s /
 buckets`` seconds wide.  Recording hashes the current time to a bucket and
-appends; a bucket whose epoch is stale (the ring has lapped it) is reset
-in place, so old data ages out with zero background work.  Reads walk the
-ring once, keeping only buckets inside the queried window.
+updates it in place; a bucket whose epoch is stale (the ring has lapped
+it) is reset, so old data ages out with zero background work.  Reads walk
+the ring once, keeping only buckets inside the queried window.
+
+Latency is a histogram per bucket and stage: count, sum, max and a sparse
+``{bin: count}`` map over fixed log-linear bins (:data:`BINS_PER_OCTAVE`
+per power of two, from :func:`math.frexp` of the milliseconds).  The bin
+edges are the same in every process, so :func:`merge_snapshots` adds bins
+and reports percentiles of all the workers' requests together, each
+within 1/64 (1.6%) of the exact one.
 
 :func:`render_prometheus` turns a snapshot into the Prometheus text
 exposition format for the transport's ``GET /metrics`` endpoint.
@@ -25,30 +33,81 @@ exposition format for the transport's ``GET /metrics`` endpoint.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from typing import Callable, Mapping, Optional
-
-import numpy as np
+from typing import Callable, Iterable, Mapping, Optional
 
 __all__ = ["MetricsCollector", "render_prometheus"]
 
+#: Latency histogram bins per power of two.  A bin is 1/32 of its octave,
+#: so its midpoint is within 1/64 of every sample in it.
+BINS_PER_OCTAVE = 32
+
+#: Floor (ms) for the bin of a zero or negative reading from a coarse clock.
+_FLOOR_MS = 1e-6
+
+
+class _Histogram:
+    """One stage's latency: count, sum and max (ms) and sparse bin counts."""
+
+    __slots__ = ("count", "total", "peak", "bins")
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0
+        self.peak = 0.0
+        self.bins: dict[int, int] = {}
+
+    def add(self, count: int, total: float, peak: float,
+            bins: Iterable) -> None:
+        """Merge another histogram in (``bins``: ``(index, count)`` pairs)."""
+        self.count += count
+        self.total += total
+        self.peak = max(self.peak, peak)
+        for index, n in bins:
+            self.bins[index] = self.bins.get(index, 0) + n
+
+    def percentile(self, bins: list, q: int) -> float:
+        """Nearest-rank ``q``-th percentile: the midpoint of the bin holding
+        the ceil(q * count / 100)-th sample, capped at the exact max."""
+        rank, seen = -(-q * self.count // 100), 0
+        for index, n in bins:
+            seen += n
+            if seen >= rank:
+                break
+        exponent, step = divmod(index, BINS_PER_OCTAVE)
+        return min(self.peak, math.ldexp(
+            0.5 + (step + 0.5) / (2 * BINS_PER_OCTAVE), exponent))
+
+    def cell(self) -> dict:
+        """The snapshot's ``latency_ms`` cell, bins as sorted pairs."""
+        bins = sorted(self.bins.items())
+        return {
+            "count": self.count,
+            "mean": self.total / self.count,
+            "p50": self.percentile(bins, 50),
+            "p99": self.percentile(bins, 99),
+            "max": self.peak,
+            "bins": [[index, n] for index, n in bins],
+        }
+
 
 class _Bucket:
-    """One time slot of the ring: counters, latency samples, gauge sums."""
+    """One time slot of the ring: counters, latency histograms, gauge sums."""
 
-    __slots__ = ("epoch", "counts", "observations", "gauges")
+    __slots__ = ("epoch", "counts", "latency", "gauges")
 
     def __init__(self):
         self.epoch = -1
         self.counts: dict[str, float] = {}
-        self.observations: dict[str, list[float]] = {}
+        self.latency: dict[str, _Histogram] = {}
         self.gauges: dict[str, list[float]] = {}  # [sum, n, max]
 
     def reset(self, epoch: int) -> None:
         self.epoch = epoch
         self.counts.clear()
-        self.observations.clear()
+        self.latency.clear()
         self.gauges.clear()
 
 
@@ -64,14 +123,10 @@ class MetricsCollector:
         resolution and the smallest meaningful query window.
     clock:
         Monotonic-seconds callable; injectable for deterministic tests.
-    reservoir:
-        Per-bucket, per-stage cap on retained latency samples (the count
-        is still exact; only the percentile sample set is bounded).
     """
 
     def __init__(self, window_s: float = 10.0, buckets: int = 40,
-                 clock: Callable[[], float] = time.monotonic,
-                 reservoir: int = 512):
+                 clock: Callable[[], float] = time.monotonic):
         if window_s <= 0:
             raise ValueError(f"window_s must be > 0, got {window_s}")
         if buckets < 2:
@@ -79,7 +134,6 @@ class MetricsCollector:
         self.window_s = float(window_s)
         self.buckets = int(buckets)
         self.width_s = self.window_s / self.buckets
-        self.reservoir = int(reservoir)
         self._clock = clock
         self._ring = [_Bucket() for _ in range(self.buckets)]
         self._lock = threading.Lock()
@@ -107,15 +161,21 @@ class MetricsCollector:
 
     def observe(self, stage: str, seconds: float) -> None:
         """Record one latency sample for ``stage`` (seconds)."""
+        ms = seconds * 1000.0
+        mantissa, exponent = math.frexp(ms if ms > _FLOOR_MS else _FLOOR_MS)
+        index = (exponent * BINS_PER_OCTAVE
+                 + int((mantissa - 0.5) * (2 * BINS_PER_OCTAVE)))
         now = self._clock()
         with self._lock:
             bucket = self._bucket(now)
-            samples = bucket.observations.setdefault(stage, [])
-            # Count every sample; cap the percentile reservoir per bucket.
-            bucket.counts[f"_obs_{stage}"] = (
-                bucket.counts.get(f"_obs_{stage}", 0) + 1)
-            if len(samples) < self.reservoir:
-                samples.append(float(seconds))
+            histogram = bucket.latency.get(stage)
+            if histogram is None:
+                histogram = bucket.latency[stage] = _Histogram()
+            histogram.count += 1
+            histogram.total += ms
+            if ms > histogram.peak:
+                histogram.peak = ms
+            histogram.bins[index] = histogram.bins.get(index, 0) + 1
 
     def gauge(self, name: str, value: float) -> None:
         """Record one gauge sample (queue depth, batch occupancy, ...)."""
@@ -167,21 +227,25 @@ class MetricsCollector:
         """One structured view of the whole window (the ``/stats`` rows).
 
         ``counts``/``rates`` for every counter, ``latency_ms`` per stage
-        (count/mean/p50/p99/max), ``gauges`` (last/mean/max/count), plus
-        ``lifetime`` totals for the counters (never windowed out).
+        (count/mean/p50/p99/max, plus the histogram ``bins`` as sorted
+        ``[index, count]`` pairs, which :func:`merge_snapshots` adds),
+        ``gauges`` (last/mean/max/count), plus ``lifetime`` totals for the
+        counters (never windowed out).
         """
         window_s = self.window_s if window_s is None else float(window_s)
         now = self._clock()
         with self._lock:
             live = self._live_buckets(now, window_s)
             counts: dict[str, float] = {}
-            observations: dict[str, list[float]] = {}
+            latency: dict[str, _Histogram] = {}
             gauges: dict[str, list[float]] = {}
             for bucket in live:
                 for name, value in bucket.counts.items():
                     counts[name] = counts.get(name, 0) + value
-                for stage, samples in bucket.observations.items():
-                    observations.setdefault(stage, []).extend(samples)
+                for stage, histogram in bucket.latency.items():
+                    latency.setdefault(stage, _Histogram()).add(
+                        histogram.count, histogram.total, histogram.peak,
+                        histogram.bins.items())
                 for name, (total, n, peak) in bucket.gauges.items():
                     cell = gauges.setdefault(name, [0.0, 0.0, float("-inf")])
                     cell[0] += total
@@ -190,54 +254,19 @@ class MetricsCollector:
             gauge_last = dict(self._gauge_last)
             lifetime = dict(self._lifetime)
         elapsed = self._elapsed(now, window_s)
-        latency_ms = {}
-        for stage, samples in observations.items():
-            data = np.asarray(samples, dtype=np.float64) * 1000.0
-            latency_ms[stage] = {
-                "count": int(counts.pop(f"_obs_{stage}", data.size)),
-                "mean": float(data.mean()) if data.size else 0.0,
-                "p50": float(np.percentile(data, 50)) if data.size else 0.0,
-                "p99": float(np.percentile(data, 99)) if data.size else 0.0,
-                "max": float(data.max()) if data.size else 0.0,
-            }
-        # Stages with counted-but-aged-out reservoirs still report counts.
-        for name in [key for key in counts if key.startswith("_obs_")]:
-            stage = name[len("_obs_"):]
-            latency_ms.setdefault(stage, {"count": int(counts[name]), "mean": 0.0,
-                                          "p50": 0.0, "p99": 0.0, "max": 0.0})
-            del counts[name]
         return {
             "window_s": elapsed,
             "counts": counts,
             "rates": {name: value / elapsed for name, value in counts.items()},
-            "latency_ms": latency_ms,
+            "latency_ms": {stage: histogram.cell()
+                           for stage, histogram in latency.items()},
             "gauges": {name: {"last": gauge_last.get(name, 0.0),
                               "mean": (total / n) if n else 0.0,
                               "max": peak if n else 0.0,
                               "count": int(n)}
                        for name, (total, n, peak) in gauges.items()},
-            "lifetime": {name: value for name, value in lifetime.items()
-                         if not name.startswith("_obs_")},
+            "lifetime": lifetime,
         }
-
-
-def _merge_latency(rows: list[dict]) -> dict:
-    """Request-weighted merge of per-worker latency summaries."""
-    merged: dict[str, dict] = {}
-    stages = {stage for row in rows for stage in row}
-    for stage in stages:
-        cells = [row[stage] for row in rows if stage in row]
-        total = sum(cell["count"] for cell in cells)
-        weighted = (lambda key: (sum(cell[key] * cell["count"] for cell in cells)
-                                 / total) if total else 0.0)
-        merged[stage] = {
-            "count": int(total),
-            "mean": weighted("mean"),
-            "p50": weighted("p50"),
-            "p99": weighted("p99"),
-            "max": max((cell["max"] for cell in cells), default=0.0),
-        }
-    return merged
 
 
 def merge_snapshots(snapshots: list[dict]) -> dict:
@@ -245,9 +274,10 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
 
     Counts/rates/lifetimes sum; gauges sum ``last`` (cluster queue depth is
     the *total* queued work), weight ``mean`` by each worker's sample count
-    and keep the max of ``max``; latency percentiles merge request-weighted
-    (exact merging would need the raw samples, which never leave the
-    worker).
+    and keep the max of ``max``.  Latency histograms merge exactly: their
+    bins add, and the percentiles are recomputed from the sum, so they are
+    percentiles of every worker's requests together.  Rows decoded from
+    ``/stats`` JSON merge the same as in-process ones.
     """
     if not snapshots:
         return {"window_s": 0.0, "counts": {}, "rates": {}, "latency_ms": {},
@@ -255,6 +285,7 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
     counts: dict[str, float] = {}
     rates: dict[str, float] = {}
     lifetime: dict[str, float] = {}
+    latency: dict[str, _Histogram] = {}
     gauges: dict[str, dict] = {}
     for snap in snapshots:
         for name, value in snap.get("counts", {}).items():
@@ -263,6 +294,10 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
             rates[name] = rates.get(name, 0) + value
         for name, value in snap.get("lifetime", {}).items():
             lifetime[name] = lifetime.get(name, 0) + value
+        for stage, cell in snap.get("latency_ms", {}).items():
+            latency.setdefault(stage, _Histogram()).add(
+                cell["count"], cell["mean"] * cell["count"], cell["max"],
+                cell["bins"])
         for name, cell in snap.get("gauges", {}).items():
             merged = gauges.setdefault(
                 name, {"last": 0.0, "mean": 0.0, "max": 0.0, "count": 0})
@@ -277,8 +312,8 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
         "window_s": max(snap.get("window_s", 0.0) for snap in snapshots),
         "counts": counts,
         "rates": rates,
-        "latency_ms": _merge_latency([snap.get("latency_ms", {})
-                                      for snap in snapshots]),
+        "latency_ms": {stage: histogram.cell()
+                       for stage, histogram in latency.items()},
         "gauges": gauges,
         "lifetime": lifetime,
     }

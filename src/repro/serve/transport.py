@@ -395,6 +395,10 @@ class _HTTPShell:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
+    def attach_controller(self, controller) -> None:
+        """Expose a control loop's decisions via /stats and /metrics."""
+        self._backend.controller = controller
+
 
 class ModelServer(_HTTPShell):
     """Threaded HTTP server wrapping one :class:`InferenceEngine`.
@@ -410,10 +414,6 @@ class ModelServer(_HTTPShell):
         super().__init__(_EngineBackend(engine, controller=controller),
                          host=host, port=port)
         self.engine = engine
-
-    def attach_controller(self, controller) -> None:
-        """Expose a control loop's decisions via /stats and /metrics."""
-        self._backend.controller = controller
 
 
 class ClusterServer(_HTTPShell):
@@ -432,26 +432,24 @@ class ClusterServer(_HTTPShell):
                          host=host, port=port)
         self.cluster = cluster
 
-    def attach_controller(self, controller) -> None:
-        """Expose a control loop's decisions via /stats and /metrics."""
-        self._backend.controller = controller
-
 
 class LocalClient:
     """In-process client speaking the transport's request contract.
 
     Drives the engine's micro-batcher directly — the load generator and the
-    tests use it to exercise batching without socket overhead.
+    tests use it to exercise batching without socket overhead.  Every
+    endpoint is the :class:`ModelServer` backend's, minus the HTTP.
     """
 
     def __init__(self, engine: InferenceEngine):
         self.engine = engine
+        self._backend = _EngineBackend(engine)
 
     def predict(self, samples: Sequence,
                 trace_id: Optional[str] = None) -> dict:
         try:
-            return _predict_payload(self.engine, list(samples),
-                                    trace_id=trace_id)
+            return self._backend.handle_predict(list(samples),
+                                                trace_id=trace_id)
         except FuturesTimeout as exc:
             raise ServeClientError(504, f"prediction timed out: {exc}") from exc
         except (ValueError, TypeError) as exc:
@@ -463,25 +461,16 @@ class LocalClient:
             raise ServeClientError(503, str(exc)) from exc
 
     def healthz(self) -> dict:
-        return {"status": self.engine.load_state(),
-                "artifact": self.engine.artifact_path,
-                "format": self.engine.format.spec(),
-                "guardrail": self.engine.guardrail_status}
+        return self._backend.healthz()[1]
 
     def stats(self) -> dict:
-        return self.engine.stats()
+        return self._backend.stats()
 
     def traces(self) -> dict:
-        tracer = self.engine.tracer
-        return {"tracing": tracer.summary(),
-                "spans": [span.to_dict() for span in tracer.spans()]}
+        return self._backend.traces()
 
     def metrics(self) -> str:
-        return render_prometheus(
-            self.engine.metrics.snapshot(),
-            extra={"queue_depth_now": self.engine.queue_depth,
-                   "max_wait_ms_now": self.engine.max_wait_ms,
-                   "workers": 1})
+        return self._backend.metrics_text()
 
 
 class HTTPClient:

@@ -24,6 +24,7 @@ from repro.serve import (
     BatchingConfig,
     ClusterConfig,
     ClusterError,
+    ClusterPlant,
     ClusterServer,
     GuardrailError,
     HTTPClient,
@@ -128,6 +129,13 @@ class TestClusterBasics:
                                         for row in stats["per_worker"])
         assert stats["requests"] >= 32
         assert stats["energy_uj_total"] > 0
+        # The top-level figures and the controller's reading come from the
+        # merge of the workers' histograms.
+        merged = stats["metrics"]
+        assert stats["requests"] == merged["lifetime"]["completed"]
+        assert stats["latency_p99_ms"] == merged["latency_ms"]["total"]["p99"]
+        assert (ClusterPlant(cluster).observe()["latency_samples"]
+                == merged["latency_ms"]["total"]["count"])
 
     def test_malformed_sample_fails_only_its_request(self, cluster, samples):
         with pytest.raises(ValueError, match="input shape"):

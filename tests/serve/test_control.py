@@ -10,9 +10,11 @@ asserted tick by tick.  The rolling-window metrics collector gets the same
 treatment with a fake monotonic clock.
 """
 
+import json
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.serve import (
@@ -413,6 +415,65 @@ class TestMetricsCollector:
         cell = merged["latency_ms"]["total"]
         assert cell["count"] == 2
         assert cell["max"] == pytest.approx(30.0)
+        # The p99 of both workers' requests together: averaging per-worker
+        # p99s by request count would read 100.5 ms here.
+        fast, slow = (MetricsCollector(window_s=10.0, clock=clock)
+                      for _ in range(2))
+        for _ in range(100):
+            fast.observe("total", 0.001)
+        for seconds in [0.001] * 96 + [0.200] * 4:
+            slow.observe("total", seconds)
+        cell = merge_snapshots([fast.snapshot(), slow.snapshot()])[
+            "latency_ms"]["total"]
+        assert cell["count"] == 200
+        assert cell["p99"] == pytest.approx(200.0, rel=1 / 64)
+
+    def test_bin_midpoints_are_within_1_64_of_their_samples(self):
+        """Beside a sample twice as large, a duration's p50 is its own
+        bin's midpoint: within 1/64 of it, from 1 us to a minute."""
+        for ms in np.geomspace(1e-3, 6e4, 997).tolist():
+            metrics = MetricsCollector(window_s=10.0, clock=FakeClock())
+            metrics.observe("total", ms / 1000.0)
+            metrics.observe("total", 2 * ms / 1000.0)
+            cell = metrics.snapshot()["latency_ms"]["total"]
+            assert cell["p50"] == pytest.approx(ms, rel=1 / 64)
+        # Zero readings (a coarse clock) sort below every positive one.
+        metrics = MetricsCollector(window_s=10.0, clock=FakeClock())
+        for seconds in (0.0, 0.0, 1e-4):
+            metrics.observe("total", seconds)
+        assert metrics.snapshot()["latency_ms"]["total"]["p50"] < 1e-3
+
+    def test_merged_histograms_equal_one_collector(self):
+        """Any split of the samples merges to the histogram of all of them,
+        whose percentiles sit within half a bin (1/64) of the exact ones,
+        and rows decoded from JSON merge exactly like the originals."""
+        rng = np.random.default_rng(20)
+        seconds = rng.lognormal(np.log(0.004), 0.8, size=3001)
+        owners = rng.integers(0, 3, size=seconds.size)
+        clock = FakeClock()
+        whole, *parts = (MetricsCollector(window_s=10.0, clock=clock)
+                         for _ in range(4))
+        for value, owner in zip(seconds.tolist(), owners.tolist()):
+            whole.observe("total", value)
+            parts[owner].observe("total", value)
+        rows = [part.snapshot() for part in parts]
+        merged = merge_snapshots(rows)
+        cell = merged["latency_ms"]["total"]
+        expected = whole.snapshot()["latency_ms"]["total"]
+        assert cell["bins"] == expected["bins"]
+        assert cell["count"] == expected["count"] == seconds.size
+        assert cell["max"] == expected["max"]
+        # Each part's percentiles, like the merge's, are exact to 1/64.
+        pieces = [(seconds, merged)] + [(seconds[owners == owner], row)
+                                        for owner, row in enumerate(rows)]
+        for q in (50, 99):
+            assert cell[f"p{q}"] == expected[f"p{q}"]
+            for values, row in pieces:
+                exact = np.percentile(values * 1000.0, q,
+                                      method="inverted_cdf")
+                assert row["latency_ms"]["total"][f"p{q}"] == pytest.approx(
+                    exact, rel=1 / 64)
+        assert merge_snapshots(json.loads(json.dumps(rows))) == merged
 
     def test_merged_gauge_mean_is_sample_weighted(self):
         clock = FakeClock()

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentConfig
-from repro.serve import BatchingConfig, InferenceEngine, train_and_export
+from repro.serve import (
+    BatchingConfig,
+    EnginePlant,
+    InferenceEngine,
+    train_and_export,
+)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +123,12 @@ def test_stats_accounting(artifact, samples):
             future.result(10.0)
         stats = engine.stats()
     assert stats["requests"] == 16
+    # One source: the top-level figures are the metrics snapshot's, and
+    # the controller reads the same histogram.
+    total = stats["metrics"]["latency_ms"]["total"]
+    assert stats["requests"] == stats["metrics"]["lifetime"]["completed"]
+    assert stats["latency_p99_ms"] == total["p99"]
+    assert EnginePlant(engine).observe()["latency_samples"] == total["count"]
     assert stats["energy_uj_per_sample"] > 0
     # Compute energy per sample, memory energy per coalesced batch — so the
     # total is strictly below 16 unbatched single-sample passes whenever

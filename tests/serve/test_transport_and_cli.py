@@ -81,6 +81,15 @@ def test_local_client_same_contract(server, samples):
     local = LocalClient(server.engine)
     http = HTTPClient(server.url)
     assert local.predict(samples[:3]) == http.predict(samples[:3])
+    assert local.healthz() == http.healthz()
+
+    def families(text):
+        return [line.split()[2] for line in text.splitlines()
+                if line.startswith("# TYPE ")]
+
+    names = families(local.metrics())
+    assert names == families(http.metrics())
+    assert "repro_serve_batches_total" in names
 
 
 def test_malformed_request_is_400(server):
