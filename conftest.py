@@ -1,4 +1,4 @@
-"""Repository-wide pytest options.
+"""Repository-wide pytest options and markers.
 
 ``pytest_addoption`` only takes effect in a conftest that pytest loads at
 start-up, which for a plain ``python -m pytest`` from the root is this one.
@@ -15,3 +15,8 @@ def pytest_addoption(parser):
         help="write the benchmarks' regenerated tables to the committed "
              "benchmarks/results/ instead of a session temp directory",
     )
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running end-to-end training or benchmark test")

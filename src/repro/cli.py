@@ -37,9 +37,11 @@ the training policy's role assignment with ``--format-map`` per-tensor
 overrides — and
 ``serve`` exposes it over HTTP with dynamic micro-batching — one engine in
 process by default, or ``--workers N`` supervised engine processes behind
-the same listener.  Exports embed a v1.1 startup guardrail (a held-out
-calibration batch plus its expected logits) that every serving process
-replays before accepting traffic (:mod:`repro.serve`).
+the same listener, also when N is 1 but the autoscaler may run more
+(``--max-workers`` or ``--min-workers`` above 1).  Exports embed a v1.1
+startup guardrail (a held-out calibration batch plus its expected logits)
+that every serving process replays before accepting traffic
+(:mod:`repro.serve`).
 
 ``serve`` runs the adaptive control plane by default: a periodic
 controller autoscales the worker count between ``--min-workers`` and
@@ -177,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--workers", type=int, default=1,
                        help="engine worker processes behind the listener "
-                            "(default: 1 = in-process engine)")
+                            "(default: 1; served by an in-process engine "
+                            "unless the autoscaler may run more workers: "
+                            "--max-workers or --min-workers above 1)")
     serve.add_argument("--max-restarts", type=int, default=2,
                        help="crash-restart budget per worker (default: 2)")
     serve.add_argument("--max-batch", type=int, default=32,
@@ -456,7 +460,8 @@ def _cmd_serve(args) -> int:
                             autoscale=not args.no_autoscale,
                             wait_max_ms=max(args.max_wait_ms,
                                             ControlConfig().wait_max_ms))
-    if args.workers > 1:
+    autoscaling = not (args.no_control or args.no_autoscale)
+    if args.workers > 1 or (autoscaling and control.max_workers > 1):
         cluster = ServeCluster(
             args.artifact,
             ClusterConfig(workers=args.workers, max_restarts=args.max_restarts),

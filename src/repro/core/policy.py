@@ -33,7 +33,7 @@ the cached :func:`repro.formats.get_quantizer` factory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -173,7 +173,8 @@ class QuantizationPolicy:
     first_layer_full_precision, last_layer_full_precision:
         Common quantized-training practice keeps the first conv and the final
         classifier in full precision; both default to False because the paper
-        quantizes everything, but the ablation benchmarks exercise them.
+        quantizes everything.  :meth:`layer_formats` applies them, for
+        training, export and the hardware cost model alike.
     seed:
         Seed for stochastic rounding, if selected.
     """
@@ -324,6 +325,22 @@ class QuantizationPolicy:
             weight_grad_scaler=self._make_scaler() if formats.weight_grad is not None else None,
         )
 
+    def layer_formats(self, model: Module) -> Iterator[tuple[str, Module, RoleFormats]]:
+        """Yield ``(name, module, formats)`` for every layer the policy covers.
+
+        The one walk behind :meth:`attach`, :meth:`export_formats` and the
+        hardware cost model: the first / last covered layer gets
+        :meth:`RoleFormats.full_precision` when its flag is set.
+        """
+        covered = [(name, module) for name, module in model.named_modules()
+                   if self.formats_for(module) is not None]
+        for index, (name, module) in enumerate(covered):
+            if ((self.first_layer_full_precision and index == 0)
+                    or (self.last_layer_full_precision and index == len(covered) - 1)):
+                yield name, module, RoleFormats.full_precision()
+            else:
+                yield name, module, self.formats_for(module)
+
     def attach(self, model: Module) -> dict[str, LayerQuantContext]:
         """Attach quantization contexts to every supported layer of ``model``.
 
@@ -331,18 +348,8 @@ class QuantizationPolicy:
         policy does not cover keep ``module.quant = None`` and therefore run
         in full precision.
         """
-        quantizable = [
-            (name, module)
-            for name, module in model.named_modules()
-            if self.formats_for(module) is not None
-        ]
         contexts: dict[str, LayerQuantContext] = {}
-        for index, (name, module) in enumerate(quantizable):
-            formats = self.formats_for(module)
-            if self.first_layer_full_precision and index == 0:
-                formats = RoleFormats.full_precision()
-            if self.last_layer_full_precision and index == len(quantizable) - 1:
-                formats = RoleFormats.full_precision()
+        for name, module, formats in self.layer_formats(model):
             context = self.build_context(name, module, formats)
             module.quant = context
             contexts[name] = context
@@ -362,18 +369,8 @@ class QuantizationPolicy:
         map and fall back to the exporter's default format.  The first- /
         last-layer full-precision flags apply exactly as in :meth:`attach`.
         """
-        quantizable = [
-            (name, module)
-            for name, module in model.named_modules()
-            if self.formats_for(module) is not None
-        ]
         result: dict[str, TensorFormat] = {}
-        for index, (name, module) in enumerate(quantizable):
-            formats = self.formats_for(module)
-            if self.first_layer_full_precision and index == 0:
-                formats = RoleFormats.full_precision()
-            if self.last_layer_full_precision and index == len(quantizable) - 1:
-                formats = RoleFormats.full_precision()
+        for name, module, formats in self.layer_formats(model):
             for param_name, _param in module.named_parameters():
                 qualified = f"{name}.{param_name}" if name else param_name
                 result[qualified] = formats.weight

@@ -24,10 +24,12 @@ uniform surface:
   LUTs and grid-snap encode tables for every registry format with
   ``bits <= 16`` and serves ``quantize``/``to_bits``/``from_bits`` as
   whole-array numpy gathers; posits up to 32 bits and fp32 get table-free
-  kernels that work on the float64 bit fields.  They are the only codec
-  for those formats; other wide formats use their family's vectorized
-  module functions.
-  :func:`reference_ops` exposes those module functions as the test oracle.
+  kernels that work on the float64 bit fields.  Each format method is one
+  call through :func:`codec_for`, which returns the format's kernel, or
+  for other wide formats their family's vectorized module functions
+  (:func:`reference_ops`, also the test oracle).  The rounding-mode rules
+  live only in :func:`reference_ops`; a kernel hands any mode or lane it
+  does not compute to them.
 """
 
 from .base import NumberFormat
@@ -39,8 +41,8 @@ from .factory import (
 )
 from .kernels import (
     KERNEL_MAX_BITS,
-    active_kernel,
     clear_kernel_cache,
+    codec_for,
     get_kernel,
     kernel_info,
     reference_ops,
@@ -84,8 +86,8 @@ __all__ = [
     "clear_quantizer_cache",
     "quantizer_cache_info",
     "KERNEL_MAX_BITS",
-    "active_kernel",
     "clear_kernel_cache",
+    "codec_for",
     "get_kernel",
     "kernel_info",
     "reference_ops",

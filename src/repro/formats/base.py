@@ -22,11 +22,13 @@ and the hardware accounting can treat "a format" as one opaque value:
     :func:`~repro.formats.parse_format` (``parse_format(fmt.spec()) == fmt``).
 
 A reusable callable bound to one rounding mode comes from the cached
-:func:`~repro.formats.get_quantizer`, which calls these methods; formats
-with ``bits <= 16`` serve them from the LUT codec kernels
-(:mod:`repro.formats.kernels`), posit(32,x) and fp32 from its table-free
-bit-field kernels, and other wide formats from their family's vectorized
-module functions.
+:func:`~repro.formats.get_quantizer`, which calls these methods.  Each
+family's codec methods call :func:`~repro.formats.codec_for`: formats with
+``bits <= 16`` are served by the LUT codec kernels
+(:mod:`repro.formats.kernels`), posit(32,x) and fp32 by its table-free
+bit-field kernels, and other wide formats by their family's vectorized
+module functions (:func:`~repro.formats.reference_ops`), where each
+family's rounding-mode rules live.
 
 ``PositConfig`` and ``FloatFormat`` predate this interface and are attached
 as *virtual* subclasses (``NumberFormat.register``) to keep the dependency

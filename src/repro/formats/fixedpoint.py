@@ -95,30 +95,26 @@ class FixedPointFormat(NumberFormat):
 
         ``mode`` is ``"nearest"`` or ``"stochastic"``; ``"zero"`` (posit's
         Algorithm 1 truncation) is accepted and mapped to ``"nearest"``, the
-        common hardware choice for fixed point.
+        common hardware choice for fixed point.  Words of up to 16 bits
+        decode through a LUT (:mod:`repro.formats.kernels`); encode is the
+        module functions below.
         """
-        rounding = "stochastic" if mode == "stochastic" else "nearest"
-        return fixed_point_quantize(x, self, rounding=rounding, rng=rng)
+        from .kernels import codec_for
+
+        return codec_for(self).quantize(x, mode, rng)
 
     def to_bits(self, x, mode: str = "nearest",
                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Quantize ``x`` and return two's-complement codes (``int64``)."""
-        rounding = "stochastic" if mode == "stochastic" else "nearest"
-        return fixed_point_to_bits(x, self, rounding=rounding, rng=rng)
+        from .kernels import codec_for
+
+        return codec_for(self).to_bits(x, mode, rng)
 
     def from_bits(self, bits) -> np.ndarray:
-        """Decode two's-complement codes back to real values.
+        """Decode two's-complement codes back to real values."""
+        from .kernels import codec_for
 
-        Served by the decode LUT (:mod:`repro.formats.kernels`) for words
-        of up to 16 bits; the encode side is already pure numpy arithmetic
-        at the floor the kernels are measured against, so it stays as-is.
-        """
-        from .kernels import active_kernel
-
-        kernel = active_kernel(self)
-        if kernel is not None:
-            return kernel.from_bits(bits)
-        return fixed_point_from_bits(bits, self)
+        return codec_for(self).from_bits(bits)
 
 
 def fixed_point_quantize(x, fmt: FixedPointFormat, rounding: str = "nearest",

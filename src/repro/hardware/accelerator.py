@@ -125,7 +125,8 @@ def training_step_report(model: Module, policy: Optional[QuantizationPolicy],
     """Estimate time and energy of one training step on the accelerator.
 
     ``policy=None`` models an FP32 accelerator (FP32 MACs, 32-bit storage);
-    a posit policy selects the per-layer MAC format from its forward formats.
+    a posit policy selects the per-layer MAC format from its forward formats,
+    with its first-/last-layer full-precision flags applied.
     """
     accelerator = accelerator or AcceleratorConfig()
     calibration = calibration or calibrate_to_reference(accelerator.library)
@@ -133,10 +134,11 @@ def training_step_report(model: Module, policy: Optional[QuantizationPolicy],
     total_macs = sum(w.total_macs for w in workloads) * batch_size
 
     # Compute energy: weight each layer's MACs by its MAC format's energy.
+    covered = ({} if policy is None else
+               {name: formats for name, _, formats in policy.layer_formats(model)})
     compute_energy_pj = 0.0
     for workload in workloads:
-        module = dict(model.named_modules())[workload.name]
-        formats = policy.formats_for(module) if policy is not None else None
+        formats = covered.get(workload.name)
         fmt = formats.weight if formats is not None else None
         energy = _per_mac_energy_pj(fmt, calibration, accelerator.library,
                                     accelerator.clock_mhz)

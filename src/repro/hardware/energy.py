@@ -85,27 +85,24 @@ def format_bits(fmt) -> int:
     raise TypeError(f"unsupported format descriptor: {fmt!r}")
 
 
-def _layer_formats(policy: Optional[QuantizationPolicy], module: Module):
-    if policy is None:
-        return None
-    return policy.formats_for(module)
-
-
 def model_size_bytes(model: Module, policy: Optional[QuantizationPolicy] = None) -> MemoryCosts:
     """Compute parameter/gradient byte footprints of ``model`` under ``policy``.
 
     Activation bytes are estimated per sample from the layer output channel
     counts assuming the activations are stored at the policy's activation
-    format; layers the policy does not cover count at 32 bits.
+    format; layers the policy does not cover, or keeps in full precision
+    (:meth:`~repro.core.QuantizationPolicy.layer_formats`), count at 32 bits.
     """
+    covered = ({} if policy is None else
+               {name: formats for name, _, formats in policy.layer_formats(model)})
     parameter_bits = 0.0
     gradient_bits = 0.0
     activation_bits = 0.0
-    for _, module in model.named_modules():
+    for name, module in model.named_modules():
         params = [p for p in module._parameters.values() if p is not None]
         if not params and not isinstance(module, (Conv2d, Linear, BatchNorm2d)):
             continue
-        formats = _layer_formats(policy, module)
+        formats = covered.get(name)
         weight_bits = format_bits(formats.weight) if formats is not None else 32
         grad_bits = format_bits(formats.weight_grad) if formats is not None else 32
         act_bits = format_bits(formats.activation) if formats is not None else 32

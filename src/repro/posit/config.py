@@ -116,9 +116,10 @@ class PositConfig:
         return (self.n, self.es)
 
     # ------------------------------------------------------------------ #
-    # NumberFormat protocol surface (see repro.formats).  The quantize
-    # machinery lives in repro.posit.quantize, which imports this module,
-    # so these methods resolve it lazily at call time.
+    # NumberFormat protocol surface (see repro.formats).  Each codec method
+    # is one call to the codec that repro.formats.kernels.codec_for picks
+    # for this format; that package imports this module, so the methods
+    # resolve it lazily at call time.
     # ------------------------------------------------------------------ #
     @property
     def bits(self) -> int:
@@ -139,41 +140,26 @@ class PositConfig:
         """Snap ``x`` onto this posit grid (Algorithm 1 when ``mode="zero"``).
 
         Served by a codec kernel (:mod:`repro.formats.kernels`): a LUT for
-        ``n <= 16``, the float64 bit fields up to ``n = 32``.  Wider
-        formats, and modes no kernel serves (stochastic above 16 bits), use
-        the vectorized functions of :mod:`repro.posit.quantize`.
+        ``n <= 16``, the float64 bit fields up to ``n = 32`` (stochastic
+        rounding there goes to the module function).  Wider formats use the
+        vectorized functions of :mod:`repro.posit.quantize`.
         """
-        from repro.formats.kernels import active_kernel
+        from repro.formats.kernels import codec_for
 
-        kernel = active_kernel(self, mode)
-        if kernel is not None:
-            return kernel.quantize(x, mode, rng)
-        from .quantize import quantize as _quantize
-
-        return _quantize(x, self, rounding=mode, rng=rng)
+        return codec_for(self).quantize(x, mode, rng)
 
     def to_bits(self, x, mode: str = "zero",
                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Quantize ``x`` and return posit bit patterns (``int64``)."""
-        from repro.formats.kernels import active_kernel
+        from repro.formats.kernels import codec_for
 
-        kernel = active_kernel(self, mode)
-        if kernel is not None:
-            return kernel.to_bits(x, mode, rng)
-        from .quantize import quantize_to_bits as _quantize_to_bits
-
-        return _quantize_to_bits(x, self, rounding=mode, rng=rng)
+        return codec_for(self).to_bits(x, mode, rng)
 
     def from_bits(self, bits) -> np.ndarray:
         """Decode posit bit patterns back to real values."""
-        from repro.formats.kernels import active_kernel
+        from repro.formats.kernels import codec_for
 
-        kernel = active_kernel(self)
-        if kernel is not None:
-            return kernel.from_bits(bits)
-        from .quantize import bits_to_float as _bits_to_float
-
-        return _bits_to_float(bits, self)
+        return codec_for(self).from_bits(bits)
 
 
 @lru_cache(maxsize=None)

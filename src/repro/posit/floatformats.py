@@ -140,33 +140,22 @@ class FloatFormat:
         float32-cast kernel (:mod:`repro.formats.kernels`); other wide
         formats by the module functions.
         """
-        from repro.formats.kernels import active_kernel
+        from repro.formats.kernels import codec_for
 
-        kernel = active_kernel(self, mode)
-        if kernel is not None:
-            return kernel.quantize(x, mode, rng)
-        rounding = "stochastic" if mode == "stochastic" else "nearest"
-        return float_quantize(x, self, rng=rng, rounding=rounding)
+        return codec_for(self).quantize(x, mode, rng)
 
     def to_bits(self, x, mode: str = "nearest",
                 rng: np.random.Generator | None = None) -> np.ndarray:
         """Quantize ``x`` and return sign/exponent/mantissa bit patterns."""
-        from repro.formats.kernels import active_kernel
+        from repro.formats.kernels import codec_for
 
-        kernel = active_kernel(self, mode)
-        if kernel is not None:
-            return kernel.to_bits(x, mode, rng)
-        rounding = "stochastic" if mode == "stochastic" else "nearest"
-        return float_to_bits(x, self, rounding=rounding, rng=rng)
+        return codec_for(self).to_bits(x, mode, rng)
 
     def from_bits(self, bits) -> np.ndarray:
         """Decode sign/exponent/mantissa bit patterns to real values."""
-        from repro.formats.kernels import active_kernel
+        from repro.formats.kernels import codec_for
 
-        kernel = active_kernel(self)
-        if kernel is not None:
-            return kernel.from_bits(bits)
-        return float_from_bits(bits, self)
+        return codec_for(self).from_bits(bits)
 
 
 #: Standard formats referenced by the paper and its baselines.
@@ -241,7 +230,10 @@ def float_quantize(x, fmt: FloatFormat, rng: np.random.Generator | None = None,
         # Effective quantization step: normals have a step of 2**(e - mant),
         # subnormals a fixed step of min_subnormal.
         exp = np.floor(np.log2(m))
-        exp = np.where(2.0 ** (exp + 1) <= m, exp + 1, exp)
+        # Near the float64 maximum 2**(exp + 1) overflows to inf, and
+        # inf <= m is rightly false; clamping exp would change the result.
+        with np.errstate(over="ignore"):
+            exp = np.where(2.0 ** (exp + 1) <= m, exp + 1, exp)
         exp = np.where(2.0**exp > m, exp - 1, exp)
         exp = np.maximum(exp, fmt.min_exponent)  # subnormal range shares min_exponent step
         step = 2.0 ** (exp - fmt.mantissa_bits)
@@ -303,8 +295,11 @@ def float_to_bits(x, fmt: FloatFormat, rounding: str = "nearest",
     if np.any(normal):
         m = mag[normal]
         exps = np.floor(np.log2(m)).astype(np.int64)
-        # Repair float64 log2 off-by-one at binade boundaries.
-        exps = np.where(np.power(2.0, (exps + 1).astype(np.float64)) <= m, exps + 1, exps)
+        # Repair float64 log2 off-by-one at binade boundaries (an overflow
+        # to inf near the float64 maximum compares false, as it should).
+        with np.errstate(over="ignore"):
+            exps = np.where(np.power(2.0, (exps + 1).astype(np.float64)) <= m,
+                            exps + 1, exps)
         exps = np.where(np.power(2.0, exps.astype(np.float64)) > m, exps - 1, exps)
         frac = m / np.power(2.0, exps.astype(np.float64)) - 1.0
         exp_field[normal] = exps + fmt.bias
@@ -339,7 +334,10 @@ def float_from_bits(bits, fmt: FloatFormat) -> np.ndarray:
 
     exp_all_ones = (1 << e_width) - 1
     frac = mant_field.astype(np.float64) / (1 << m_width)
-    normal_values = (1.0 + frac) * np.power(2.0, (exp_field - fmt.bias).astype(np.float64))
+    # With 11 exponent bits the all-ones exponent overflows to inf here;
+    # it decodes to NaN below.
+    with np.errstate(over="ignore"):
+        normal_values = (1.0 + frac) * np.power(2.0, (exp_field - fmt.bias).astype(np.float64))
     subnormal_values = mant_field.astype(np.float64) * fmt.min_subnormal
 
     out = np.where(exp_field == 0, subnormal_values, normal_values)

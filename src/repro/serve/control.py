@@ -157,8 +157,8 @@ class EnginePlant:
     """Observe/actuate adapter over one in-process ``InferenceEngine``.
 
     A single engine has no workers to scale (that is the cluster's axis),
-    so :meth:`scale_to` reports the fixed count; the wait tuner and the
-    backpressure signals still apply.
+    so :meth:`scale_to` applies nothing and reports a delta of 0; the wait
+    tuner and the backpressure signals still apply.
     """
 
     def __init__(self, engine):
@@ -177,7 +177,7 @@ class EnginePlant:
         self.engine.set_max_wait_ms(value)
 
     def scale_to(self, target: int) -> int:
-        return 1
+        return 0
 
 
 class ClusterPlant:
@@ -317,7 +317,10 @@ class Controller:
 
     def _scale(self, current: int, target: int, reason: str,
                decision: dict) -> None:
-        self.plant.scale_to(target)
+        """Ask the plant for ``target`` workers; a move it did not make
+        (delta 0) leaves no event, decision or cooldown behind."""
+        if not self.plant.scale_to(target):
+            return
         self._high_ticks = self._low_ticks = 0
         self._cooldown = self.config.cooldown_ticks
         event = {"tick": self.ticks, "from": current, "to": target,

@@ -9,7 +9,8 @@ The codec kept one path per format family and removed the alternatives
 outright, with no aliases: the per-family quantizer classes (use
 :func:`repro.formats.get_quantizer`), ``make_quantizer``, the
 ``REPRO_CODEC_KERNELS`` switch with ``set_kernels_enabled``, the posit
-value-grid branch, and the profiler's quantizer proxy.
+value-grid branch, and the profiler's quantizer proxy.  ``active_kernel``
+went when :func:`repro.formats.codec_for` became the one codec decision.
 
 ``RoleStats`` became a counter: its log2 statistics are gone, with no switch
 to bring them back; ``RangeTracker`` and ``DistributionRecorder`` measure
@@ -89,6 +90,8 @@ class TestCodecAlternativesRemoved:
         ("repro.formats", "set_kernels_enabled"),
         ("repro.formats.kernels", "set_kernels_enabled"),
         ("repro.formats.kernels", "_posit_decode_lut"),
+        ("repro.formats", "active_kernel"),
+        ("repro.formats.kernels", "active_kernel"),
         ("repro.posit.quantize", "positive_value_grid"),
         ("repro.posit.quantize", "_GRID_MAX_BITS"),
         ("repro.obs.profiler", "_ProfiledQuantizer"),
@@ -109,13 +112,13 @@ class TestCodecAlternativesRemoved:
             assert not hasattr(fmt, "make_quantizer")
 
     def test_kernel_switch_is_ignored(self, monkeypatch):
-        from repro.formats import active_kernel, get_kernel
+        from repro.formats import codec_for, get_kernel
         from repro.formats.kernels import kernels_enabled
         from repro.posit import POSIT_8_1
 
         monkeypatch.setenv("REPRO_CODEC_KERNELS", "0")
         assert kernels_enabled() is True
-        assert active_kernel(POSIT_8_1, "zero") is get_kernel(POSIT_8_1)
+        assert codec_for(POSIT_8_1) is get_kernel(POSIT_8_1)
 
 
 class TestRoleStatsAnalysisRemoved:

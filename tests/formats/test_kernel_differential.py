@@ -39,8 +39,9 @@ bodies at each end with its midpoints and one-ulp neighbours (the regimes
 that keep fewer than ``es`` exponent bits), and the exact ties where the
 posit keeps no fraction bits; fp32 in every mode on its specials.  The posit
 sweeps also go to the scalar :func:`~repro.posit.scalar.encode` /
-:func:`~repro.posit.scalar.decode`.  Posit ``stochastic`` stays on the
-module function, so a seeded call matches it draw for draw.
+:func:`~repro.posit.scalar.decode`.  The posit bitfield kernel hands
+``stochastic`` to the module function, so a seeded call matches it draw for
+draw.
 """
 
 from __future__ import annotations
@@ -372,9 +373,9 @@ def test_wide_posit_from_bits_matches_oracle(fmt):
 
 @pytest.mark.parametrize("fmt", WIDE_POSITS, ids=WIDE_IDS)
 def test_wide_posit_stochastic_stays_on_the_module_function(fmt):
-    """No kernel serves posit stochastic rounding, so one seed gives the
-    module function's result draw for draw."""
-    assert get_kernel(fmt).supports("stochastic") is False
+    """The bitfield kernel hands posit stochastic rounding to the module
+    function with the caller's generator, so one seed gives the module
+    function's result draw for draw."""
     ref = reference_ops(fmt)
     x = _wide_values(fmt)
     x = x[~(np.abs(x) == 1e308)]  # the oracle's draw / minpos overflows there

@@ -182,6 +182,54 @@ def test_factory_quantizers_dispatch_to_the_kernel():
     assert np.array_equal(q.from_bits(q.to_bits(x)), q(x))
 
 
+#: Calls that end in the module functions: every mode of the kernel-less
+#: posit(40,2), float(11,20) and fixed(32,16); posit(32,x) stochastic, which
+#: the bitfield kernel hands over; fixed-point encode, which the fixed kernel
+#: takes from its reference ops.
+_MODULE_FUNCTION_CASES = [
+    (fmt, mode)
+    for fmt in (PositConfig(40, 2), FloatFormat(11, 20), FixedPointFormat(15, 16),
+                FixedPointFormat(2, 13), FixedPointFormat(2, 5))
+    for mode in ("zero", "nearest", "stochastic")
+] + [(PositConfig(32, 2), "stochastic"), (POSIT_32_3, "stochastic")]
+
+
+def _module_function_sample(fmt) -> np.ndarray:
+    rng = np.random.default_rng(0xD15)
+    mags = np.exp2(rng.uniform(-40.0, 40.0, size=1024))
+    x = np.concatenate([rng.normal(scale=4.0, size=1024), mags, -mags,
+                        [0.0, -0.0, np.inf, -np.inf, np.nan,
+                         fmt.minpos, -fmt.minpos, fmt.maxpos, -fmt.maxpos]])
+    if not isinstance(fmt, PositConfig):
+        x = np.append(x, [1e308, -1e308])  # the posit oracle overflows there
+    return x
+
+
+def _assert_identical(got, want) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("fmt, mode", _MODULE_FUNCTION_CASES,
+                         ids=[f"{f.spec()}-{m}" for f, m in _MODULE_FUNCTION_CASES])
+def test_format_methods_equal_reference_ops(fmt, mode):
+    """Where a call ends in the module functions, the format method equals
+    ``reference_ops(fmt)`` bit for bit, generator draws included."""
+    ref = kernels.reference_ops(fmt)
+    x = _module_function_sample(fmt)
+    for op in ("quantize", "to_bits"):
+        _assert_identical(getattr(fmt, op)(x, mode, np.random.default_rng(3)),
+                          getattr(ref, op)(x, mode, np.random.default_rng(3)))
+    codes = ref.to_bits(x, mode, np.random.default_rng(4))
+    _assert_identical(fmt.from_bits(codes), ref.from_bits(codes))
+    if mode == "zero" and not isinstance(fmt, PositConfig):
+        # Float and fixed point round to nearest for posit's ``zero``.
+        _assert_identical(fmt.quantize(x, "zero"), ref.quantize(x, "nearest"))
+        _assert_identical(fmt.to_bits(x, "zero"), ref.to_bits(x, "nearest"))
+
+
 def test_oversized_bucket_table_falls_back_to_module_functions(monkeypatch):
     fmt = PositConfig(12, 1)  # needs 10,242 buckets
     monkeypatch.setattr(kernels, "_MAX_BUCKETS", 10_241)

@@ -8,9 +8,10 @@ from repro.hardware import (
     AcceleratorConfig,
     accelerator_comparison,
     count_training_macs,
+    model_size_bytes,
     training_step_report,
 )
-from repro.models import MLP, cifar_resnet8, tiny_resnet
+from repro.models import MLP, ResNet, cifar_resnet8, tiny_resnet
 from repro.nn import Conv2d, Sequential
 
 
@@ -89,3 +90,22 @@ class TestAcceleratorModel:
         posit = training_step_report(model, QuantizationPolicy.uniform(8),
                                      batch_size=4, input_hw=(16, 16))
         assert fp32["step_seconds"] == pytest.approx(posit["step_seconds"])
+
+
+class TestFullPrecisionLayers:
+    """The cost model prices the layers a policy keeps in FP32 at FP32."""
+
+    def test_first_and_last_layer_flags_are_priced(self):
+        # The cifar_resnet experiment model: conv1 (216 values) and fc (330).
+        model = ResNet(num_classes=10, stage_blocks=(1, 1, 1), base_width=8,
+                       stem="cifar", rng=np.random.default_rng(0))
+        plain = QuantizationPolicy.uniform(8)
+        flagged = QuantizationPolicy.uniform(8, first_layer_full_precision=True,
+                                             last_layer_full_precision=True)
+        kept = {name for name, fmt in flagged.export_formats(model).items() if fmt is None}
+        assert kept == {"conv1.weight", "fc.weight", "fc.bias"}
+        assert model_size_bytes(model, plain).parameter_bytes == 19_954
+        # The 546 kept values cost 4 bytes each instead of 1.
+        assert model_size_bytes(model, flagged).parameter_bytes == 21_592
+        assert (training_step_report(model, flagged)["compute_energy_uj"]
+                > training_step_report(model, plain)["compute_energy_uj"])

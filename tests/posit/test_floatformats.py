@@ -1,5 +1,7 @@
 """Tests for the reduced-precision float baseline formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.posit import (
     FP32,
     FloatFormat,
     float_quantize,
+    float_to_bits,
 )
 from repro.formats import get_quantizer, parse_format
 
@@ -104,6 +107,18 @@ class TestFloatQuantize:
 
     def test_scalar_shape(self):
         assert np.ndim(float_quantize(1.3, FP16)) == 0
+
+    def test_near_float64_max_is_warning_free(self):
+        """2**(exp + 1) overflows for magnitudes near the float64 maximum;
+        the comparison is meant to be false there, silently."""
+        x = np.array([1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = float_quantize(x, FP16)
+            codes = float_to_bits(x, FP16)
+        np.testing.assert_array_equal(values, FP16.quantize(x))
+        np.testing.assert_array_equal(codes, FP16.to_bits(x))
+        np.testing.assert_array_equal(values, [65504.0, -65504.0])
 
 
 class TestFactoryQuantizer:

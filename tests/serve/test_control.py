@@ -289,6 +289,21 @@ class TestAutoscaling:
             controller.tick(observation(workers=2, queue_depth=0))
         assert plant.scale_calls == []
 
+    def test_engine_plant_records_no_scale_moves(self):
+        # One in-process engine has no workers to add: the plant applies
+        # nothing, so no event, decision or cooldown may be recorded.
+        engine = SimpleNamespace(
+            metrics=MetricsCollector(window_s=10.0, clock=FakeClock()),
+            queue_depth=73, batching=SimpleNamespace(queue_size=100))
+        for cooldown_ticks in (0, 6):
+            controller = self.controller(EnginePlant(engine), hysteresis_ticks=1,
+                                         cooldown_ticks=cooldown_ticks)
+            decisions = [controller.tick() for _ in range(5)]
+            assert decisions[-1]["queue_utilization"] == pytest.approx(0.73)
+            assert controller.scale_events == []
+            assert controller.decision_counts == {}
+            assert not any("scaled" in d or "cooldown" in d for d in decisions)
+
     def test_under_min_scales_up_immediately(self):
         plant = FakePlant(workers=1)
         controller = self.controller(plant, min_workers=2, max_workers=4)

@@ -309,6 +309,37 @@ def test_cli_export_missing_config_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+class _Routed(Exception):
+    """Raised by the stand-in serving stacks to report which one was built."""
+
+
+@pytest.mark.parametrize("flags, stack", [
+    ([], "engine"),
+    (["--max-workers", "4"], "cluster of 1"),
+    (["--min-workers", "2"], "cluster of 1"),
+    (["--max-workers", "4", "--no-autoscale"], "engine"),
+    (["--max-workers", "4", "--no-control"], "engine"),
+    (["--workers", "2", "--no-control"], "cluster of 2"),
+])
+def test_cli_serve_runs_a_cluster_whenever_the_autoscaler_may_scale(
+        monkeypatch, flags, stack):
+    """An in-process engine cannot grow, so a worker range above 1 serves
+    ``--workers`` processes the controller can scale."""
+    import repro.serve as serve
+
+    def engine(*args, **kwargs):
+        raise _Routed("engine")
+
+    def cluster(artifact, config, **kwargs):
+        raise _Routed(f"cluster of {config.workers}")
+
+    monkeypatch.setattr(serve, "InferenceEngine", engine)
+    monkeypatch.setattr(serve, "ServeCluster", cluster)
+    with pytest.raises(_Routed) as routed:
+        cli_main(["serve", "model.rpak", *flags])
+    assert str(routed.value) == stack
+
+
 def test_cli_serve_rejects_bad_artifact(tmp_path, capsys):
     bad = tmp_path / "bad.rpak"
     bad.write_bytes(b"not an artifact")
