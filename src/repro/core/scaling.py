@@ -39,6 +39,11 @@ def log2_center(x: np.ndarray) -> float:
     ``-inf``, so they are excluded; an all-zero tensor has center 0.
     """
     mag = np.abs(np.asarray(x, dtype=np.float64))
+    if mag.size and mag.min() > 0 and mag.max() < np.inf:
+        # Every magnitude is finite and nonzero (NaN fails both tests), so
+        # the compaction below would keep them all, in this order.
+        logs = mag.ravel()
+        return float(np.round(np.mean(np.log2(logs, out=logs))))
     mag = mag[np.isfinite(mag) & (mag > 0)]
     if mag.size == 0:
         return 0.0

@@ -190,6 +190,8 @@ class PositTrainer:
             batch = len(labels)
             loss_meter.update(loss.item(), batch)
             acc_meter.update(accuracy(logits, labels), batch)
+            # Free this batch's graph before the next forward builds its own.
+            del logits, loss
         return loss_meter.average, acc_meter.average
 
     def evaluate(self, loader: ArrayDataLoader) -> tuple[float, float]:

@@ -232,7 +232,10 @@ def quantize(
         if rng is None:
             rng = np.random.default_rng()
         draw = rng.random(arr.shape)
-        underflow_to_min = small & (draw < mag / config.minpos)
+        # Magnitudes past float64 max x minpos overflow to inf here; they
+        # are not ``small``, so only the warning goes.
+        with np.errstate(over="ignore"):
+            underflow_to_min = small & (draw < mag / config.minpos)
     else:
         raise ValueError(
             f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}"

@@ -9,6 +9,11 @@ input-gradient products are batched ``np.matmul`` calls, chosen for their
 C-contiguous outputs: the scatter-add in :func:`col2im` and the layers after
 a convolution then read memory in order.
 
+A convolution's graph node keeps only its inputs.  The im2col columns (nine
+values per input value for a 3x3 kernel) are dropped after the forward
+product; backward rebuilds them, bit for bit, from the input when the weight
+needs a gradient, and frees them before the input-gradient product.
+
 All functions take and return :class:`repro.tensor.Tensor` objects with
 ``NCHW`` layout.
 """
@@ -145,14 +150,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def _backward(upstream: np.ndarray) -> list:
         grad_out = upstream.reshape(n, c_out, out_h * out_w)  # (N, C_out, L)
         results = []
+        if weight.requires_grad:
+            # The columns, rebuilt from the input, are freed before the dx GEMM.
+            grad_w = np.einsum("nol,nfl->of", grad_out,
+                               im2col(x.data, (kh, kw), stride, padding), optimize=True)
+            results.append((weight, grad_w.reshape(weight.shape)))
         if x.requires_grad:
             # d/dx: scatter W^T @ grad_out back through col2im.
             grad_cols = np.matmul(w_mat.T, grad_out)
             grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
             results.append((x, grad_x))
-        if weight.requires_grad:
-            grad_w = np.einsum("nol,nfl->of", grad_out, cols, optimize=True)
-            results.append((weight, grad_w.reshape(weight.shape)))
         if bias is not None and bias.requires_grad:
             results.append((bias, upstream.sum(axis=(0, 2, 3))))
         return results

@@ -3,6 +3,11 @@
 Provides numerically-stable softmax / log-softmax / cross-entropy, batch
 normalization, dropout, and linear transforms — the remaining primitives the
 layer classes in :mod:`repro.nn` are composed of.
+
+:func:`batch_norm` is one graph node that keeps its input and two
+per-channel vectors, not five full-size intermediates; it matches the same
+normalization composed from Tensor operations bit for bit when its input
+feeds nothing else, as in every model of :mod:`repro.models`.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, unbroadcast
 
 __all__ = [
     "linear",
@@ -121,6 +126,14 @@ def batch_norm(
     are updated in place; in evaluation mode the running statistics are used.
     ``gamma`` and ``beta`` are the learnable affine parameters of shape
     ``(C,)``.
+
+    One graph node over ``(x, gamma, beta)`` that keeps the per-channel mean
+    and ``sqrt(var + eps)``; backward rebuilds ``x - mean`` and ``x_hat``
+    from ``x``.  Values and gradients equal, bit for bit, those of the same
+    normalization composed from Tensor operations, provided ``x`` feeds
+    nothing but this node (another consumer's gradient could be added in
+    another order).  Every ``BatchNorm2d`` in :mod:`repro.models` reads a
+    ``Conv2d`` output and meets that.
     """
     if x.ndim == 4:
         axes = (0, 2, 3)
@@ -131,22 +144,52 @@ def batch_norm(
     else:
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got shape {x.shape}")
 
+    inv_count = 1.0 / (x.size // x.shape[1])
     if training:
-        mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
-        # Update running statistics outside the autograd graph.
-        batch_mean = mean.data.reshape(-1)
-        batch_var = var.data.reshape(-1)
+        mean = x.data.sum(axis=axes, keepdims=True) * inv_count
+        centered = x.data - mean
+        var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
         running_mean *= 1.0 - momentum
-        running_mean += momentum * batch_mean
+        running_mean += momentum * mean.reshape(-1)
         running_var *= 1.0 - momentum
-        running_var += momentum * batch_var
+        running_var += momentum * var.reshape(-1)
     else:
-        mean = Tensor(running_mean.reshape(shape))
-        var = Tensor(running_var.reshape(shape))
+        # A copy: backward must see the statistics this forward used.
+        mean = running_mean.reshape(shape).copy()
+        var = running_var.reshape(shape)
+        centered = x.data - mean
+    std = np.sqrt(var + eps)
+    gamma_shaped = gamma.data.reshape(shape)
+    out = centered / std
+    out *= gamma_shaped
+    out += beta.data.reshape(shape)
 
-    x_hat = (x - mean) / (var + eps).sqrt()
-    return x_hat * gamma.reshape(*shape) + beta.reshape(*shape)
+    def _backward(upstream: np.ndarray) -> list:
+        # Each partial as the composed Tensor operations compute it, and x's
+        # four added in their backward's order: from x - mean, from the
+        # mean's sum, from the variance's x - mu (both factors of its
+        # square), from mu's sum.
+        centered = x.data - mean
+        results = []
+        if x.requires_grad:
+            grad_x_hat = upstream * gamma_shaped
+            grad_x = grad_x_hat / std
+            if training:
+                grad_std = unbroadcast(-grad_x_hat * centered / (std * std), std.shape)
+                grad_factor = centered * (grad_std * 0.5 / std * inv_count)
+                grad_centered = grad_factor + grad_factor
+                grad_x += unbroadcast(-grad_x, mean.shape) * inv_count
+                grad_x += grad_centered
+                grad_x += unbroadcast(-grad_centered, mean.shape) * inv_count
+            results.append((x, grad_x))
+        if gamma.requires_grad:
+            results.append((gamma, unbroadcast(upstream * (centered / std), gamma_shaped.shape)
+                            .reshape(gamma.shape)))
+        if beta.requires_grad:
+            results.append((beta, unbroadcast(upstream, gamma_shaped.shape).reshape(beta.shape)))
+        return results
+
+    return Tensor._make(out, (x, gamma, beta), _backward, name="batch_norm")
 
 
 def dropout(x: Tensor, p: float, training: bool,

@@ -30,6 +30,56 @@ class TestLog2Center:
         assert log2_center(np.array([np.nan, np.inf, 4.0])) == 2.0
 
 
+def _compacted_center(x, rounded: bool) -> float:
+    """``log2_center`` as a filter, a compaction and a mean: the oracle."""
+    mag = np.abs(np.asarray(x, dtype=np.float64))
+    mag = mag[np.isfinite(mag) & (mag > 0)]
+    if mag.size == 0:
+        return 0.0
+    mean = np.mean(np.log2(mag))
+    return float(np.round(mean)) if rounded else float(mean)
+
+
+def _center_inputs():
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal(10_007) * 3e-3
+    with_zeros = dense.copy()
+    with_zeros[::7] = 0.0
+    with_inf = dense.copy()
+    with_inf[[3, 500]] = [np.inf, -np.inf]
+    with_nan = dense.copy()
+    with_nan[17] = np.nan
+    subnormal = np.concatenate([dense[:100], [5e-324, -1e-310, 2.2e-308]])
+    grid = rng.standard_normal((41, 67))
+    return {
+        "dense": dense, "with_zeros": with_zeros, "with_inf": with_inf,
+        "with_nan": with_nan, "subnormal": subnormal,
+        "only_subnormal": np.array([5e-324, 1e-320, -3e-315]),
+        "all_zero": np.zeros(33), "negative_zero": np.array([-0.0, 1.5]),
+        "empty": np.zeros(0), "scalar": np.float64(-0.37), "zero_d": np.array(6.0),
+        "zero_d_zero": np.array(0.0), "transposed": grid.T,
+        "strided": grid[::3, 1::2], "float32": dense[:999].astype(np.float32),
+        "list": [0.5, -2.0, 8.0],
+    }
+
+
+class TestLog2CenterIsTheCompactedMean:
+    """With every magnitude finite and nonzero, log2_center skips the
+    compaction; rounded or not, its mean is the compacted mean's bits."""
+
+    @pytest.mark.parametrize("name", sorted(_center_inputs()))
+    def test_rounded_center_matches(self, name):
+        x = _center_inputs()[name]
+        assert log2_center(x) == _compacted_center(x, rounded=True)
+
+    @pytest.mark.parametrize("name", sorted(_center_inputs()))
+    def test_unrounded_mean_matches_bit_for_bit(self, name, monkeypatch):
+        x = _center_inputs()[name]
+        expected = _compacted_center(x, rounded=False)
+        monkeypatch.setattr(np, "round", lambda value: value)
+        assert np.float64(log2_center(x)).tobytes() == np.float64(expected).tobytes()
+
+
 class TestComputeScaleFactor:
     def test_equation_2_with_default_sigma(self):
         """Sf = 2**(center + sigma), sigma = 2 as in the paper."""

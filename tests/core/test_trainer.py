@@ -1,5 +1,8 @@
 """Tests for the PositTrainer: Fig. 3 insertion points, warm-up, and training runs."""
 
+import inspect
+import weakref
+
 import numpy as np
 import pytest
 
@@ -215,3 +218,75 @@ class TestTrainingRuns:
         loss, accuracy = trainer.train_epoch(loader, epoch=0)
         assert np.isfinite(loss)
         assert 0.0 <= accuracy <= 1.0
+
+
+def graph_bytes(root) -> int:
+    """Bytes of the arrays reachable from ``root``: each node's data and each
+    array in its backward closure (or in a function that closure holds),
+    every base buffer counted once."""
+    buffers, nodes, functions, stack = {}, set(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes.add(id(node))
+        stack.extend(node._parents)
+        arrays = [node.data]
+        pending = [node._backward] if node._backward is not None else []
+        while pending:
+            function = pending.pop()
+            if id(function) in functions:
+                continue
+            functions.add(id(function))
+            for cell in function.__closure__ or ():
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    arrays.append(value)
+                elif inspect.isfunction(value):
+                    pending.append(value)
+        for array in arrays:
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            buffers[id(array)] = array.nbytes
+    return sum(buffers.values())
+
+
+class TestTrainingMemory:
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "loss_scaler"])
+    def test_train_epoch_frees_each_graph_before_the_next_forward(self, scaled):
+        """No earlier batch's loss, and so no earlier graph, is alive when the
+        next forward starts."""
+        scaler = LossScaler(scale=128.0) if scaled else None
+        trainer = make_mlp_trainer(policy=None, loss_scaler=scaler)
+        loss_arrays, alive_at_forward = [], []
+        forward, loss_fn = trainer.model.forward, trainer.loss_fn
+
+        def spy_forward(x):
+            alive_at_forward.append(sum(ref() is not None for ref in loss_arrays))
+            return forward(x)
+
+        def spy_loss(logits, labels):
+            loss = loss_fn(logits, labels)
+            loss_arrays.append(weakref.ref(loss.data))  # Tensor has no __weakref__
+            return loss
+
+        trainer.model.forward, trainer.loss_fn = spy_forward, spy_loss
+        train, _ = blob_loaders()
+        trainer.train_epoch(train)
+        assert alive_at_forward == [0] * len(train)
+
+    def test_cifar_paper_forward_graph_fits_its_budget(self):
+        """After a cifar_resnet batch-16 forward under cifar_paper, the graph
+        holds under 40 MiB: conv and BN nodes keep their inputs, not their
+        im2col columns or normalization intermediates (86.1 MiB when they did)."""
+        from repro.api import ExperimentConfig, build_experiment
+        from repro.tensor import Tensor
+
+        experiment = build_experiment(ExperimentConfig(
+            dataset="cifar_like", model="cifar_resnet", policy="cifar_paper",
+            warmup_epochs=0, batch_size=16, train_size=16, test_size=16, seed=0))
+        experiment.model.train(True)
+        inputs, labels = next(iter(experiment.train_loader))
+        loss = experiment.trainer.loss_fn(experiment.model(Tensor(inputs)), labels)
+        assert experiment.trainer.quantization_active
+        assert graph_bytes(loss) < 40 * 2**20

@@ -378,7 +378,6 @@ def test_wide_posit_stochastic_stays_on_the_module_function(fmt):
     function's result draw for draw."""
     ref = reference_ops(fmt)
     x = _wide_values(fmt)
-    x = x[~(np.abs(x) == 1e308)]  # the oracle's draw / minpos overflows there
     np.testing.assert_array_equal(
         fmt.to_bits(x, mode="stochastic", rng=np.random.default_rng(5)),
         ref.to_bits(x, mode="stochastic", rng=np.random.default_rng(5)))

@@ -113,6 +113,34 @@ class TestConvLoweringDifferential:
         assert scattered == [True]
 
 
+def closure_arrays(function) -> list:
+    """The arrays a backward closure holds, as their base buffers."""
+    arrays = []
+    for cell in function.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            arrays.append(value)
+    return arrays
+
+
+class TestConvBackwardKeepsOnlyInputs:
+    """Backward rebuilds the im2col columns from the input: the graph node
+    holds no array larger than the input (the columns of a 3x3 kernel are
+    nine times its size)."""
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride, padding",
+                             list(CIFAR_RESNET_CONVS.values()), ids=list(CIFAR_RESNET_CONVS))
+    def test_closure_holds_nothing_larger_than_the_input(self, rng, x_shape, w_shape,
+                                                         stride, padding):
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+        out = conv2d(x, w, None, stride=stride, padding=padding)
+        sizes = [array.nbytes for array in closure_arrays(out._backward)]
+        assert all(size <= x.data.nbytes for size in sizes), (sizes, x.data.nbytes)
+
+
 class TestIm2Col:
     def test_shape(self):
         x = np.random.default_rng(0).standard_normal((2, 3, 8, 8))

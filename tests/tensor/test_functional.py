@@ -172,6 +172,92 @@ class TestBatchNorm:
         np.testing.assert_allclose(beta.grad, numgrad(loss, beta_data), atol=1e-5)
 
 
+def composite_batch_norm(x, gamma, beta, running_mean, running_var, training,
+                         momentum=0.1, eps=1e-5):
+    """Batch normalization composed from Tensor operations: the oracle that
+    the single ``batch_norm`` node must match bit for bit."""
+    axes, shape = ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 else ((0,), (1, -1))
+    if training:
+        mean = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.data.reshape(-1)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.data.reshape(-1)
+    else:
+        mean = Tensor(running_mean.reshape(shape))
+        var = Tensor(running_var.reshape(shape))
+    x_hat = (x - mean) / (var + eps).sqrt()
+    return x_hat * gamma.reshape(*shape) + beta.reshape(*shape)
+
+
+class TestBatchNormNode:
+    """``batch_norm`` is one graph node over ``(x, gamma, beta)`` whose
+    output, gradients and running statistics are the composite's bits."""
+
+    def _run(self, norm, x_data, gamma_data, beta_data, upstream, training, affine_grad):
+        x = Tensor(x_data, requires_grad=True)
+        gamma = Tensor(gamma_data, requires_grad=affine_grad)
+        beta = Tensor(beta_data, requires_grad=affine_grad)
+        channels = gamma_data.size
+        running_mean = np.linspace(-0.5, 0.5, channels)
+        running_var = np.linspace(0.5, 2.0, channels)
+        out = norm(x, gamma, beta, running_mean, running_var, training=training,
+                   momentum=0.3, eps=1e-3)
+        out.backward(upstream)
+        return out, x, gamma, beta, running_mean, running_var
+
+    @pytest.mark.parametrize("affine_grad", [True, False], ids=["affine_grad", "affine_fixed"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("x_shape", [(16, 8, 32, 32), (5, 3, 7, 9), (1, 4, 1, 6), (10, 6)],
+                             ids=["cifar_layer1", "odd", "unit_dims", "2d"])
+    def test_matches_the_composite_bit_for_bit(self, x_shape, training, affine_grad):
+        rng = np.random.default_rng(29)
+        x_data = rng.standard_normal(x_shape) * 3.0 + 0.7
+        gamma_data = rng.standard_normal(x_shape[1])
+        beta_data = rng.standard_normal(x_shape[1])
+        upstream = rng.standard_normal(x_shape)
+        fused = self._run(batch_norm, x_data, gamma_data, beta_data, upstream,
+                          training, affine_grad)
+        composite = self._run(composite_batch_norm, x_data, gamma_data, beta_data,
+                              upstream, training, affine_grad)
+
+        out, x, gamma, beta = fused[:4]
+        assert out._parents == (x, gamma, beta) and out.name == "batch_norm"
+        np.testing.assert_array_equal(out.data, composite[0].data)
+        for got, want in zip(fused[4:], composite[4:]):  # running statistics
+            np.testing.assert_array_equal(got, want)
+        assert x.grad is not None and (gamma.grad is not None) == affine_grad
+        for got, want in zip(fused[1:4], composite[1:4]):
+            assert (got.grad is None) == (want.grad is None)
+            if want.grad is not None:
+                np.testing.assert_array_equal(got.grad, want.grad)
+
+    def test_resnet_step_matches_the_composite(self, monkeypatch):
+        """In a residual network every BN input feeds only its BN, so a whole
+        training step's gradients and running statistics are unchanged."""
+        from repro.models import tiny_resnet
+        from repro.nn import layers
+        from repro.tensor import cross_entropy
+
+        rng = np.random.default_rng(3)
+        images = rng.standard_normal((4, 3, 16, 16))
+        labels = rng.integers(0, 10, 4)
+
+        def step():
+            model = tiny_resnet(base_width=4, rng=np.random.default_rng(0))
+            cross_entropy(model(Tensor(images)), labels).backward()
+            return ([p.grad for p in model.parameters()]
+                    + list(model.state_dict().values()))
+
+        fused = step()
+        monkeypatch.setattr(layers, "batch_norm", composite_batch_norm)
+        composite = step()
+        assert len(fused) == len(composite)
+        for got, want in zip(fused, composite):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestDropout:
     def test_identity_in_eval_mode(self, rng):
         x = rng.standard_normal((5, 5))
