@@ -55,7 +55,6 @@ from repro.obs import TraceConfig
 from repro.serve import (
     BatchingConfig,
     ClusterConfig,
-    ClusterPlant,
     ControlConfig,
     Controller,
     InferenceEngine,
@@ -178,7 +177,7 @@ def _drive_cluster_controlled(path: str, samples: np.ndarray) -> dict:
                            tune_wait=False, queue_low=0.0)
     with ServeCluster(path, ClusterConfig(workers=2),
                       batching=batching) as cluster:
-        controller = Controller(ClusterPlant(cluster), config)
+        controller = Controller(cluster, config)
         with controller:
             # Let the controller observe at least once (the core cap, when
             # it applies, actuates on the first observed tick).

@@ -431,11 +431,8 @@ def _cmd_serve(args) -> int:
     from .serve import (
         BatchingConfig,
         ClusterConfig,
-        ClusterPlant,
-        ClusterServer,
         ControlConfig,
         Controller,
-        EnginePlant,
         InferenceEngine,
         ModelServer,
         ServeCluster,
@@ -462,48 +459,41 @@ def _cmd_serve(args) -> int:
                                             ControlConfig().wait_max_ms))
     autoscaling = not (args.no_control or args.no_autoscale)
     if args.workers > 1 or (autoscaling and control.max_workers > 1):
-        cluster = ServeCluster(
+        backend = ServeCluster(
             args.artifact,
             ClusterConfig(workers=args.workers, max_restarts=args.max_restarts),
             batching=batching,
             quantize_activations=not args.no_activation_quant,
             verify_guardrail=not args.no_guardrail,
             tracing=tracing)
-        server = ClusterServer(cluster, host=args.host, port=args.port)
-        print(f"serving {args.artifact} on {server.url} "
-              f"({args.workers} worker processes, guardrail "
-              f"{'off' if args.no_guardrail else 'on'}; BLAS threads per "
-              f"worker: {cluster.blas_threads_budget} of "
-              f"{cluster.effective_cores} cores)")
-        backend_stop = cluster.stop
-        plant = ClusterPlant(cluster)
-        tracer = cluster.tracer
+        served = args.artifact
+        detail = (f"{args.workers} worker processes, guardrail "
+                  f"{'off' if args.no_guardrail else 'on'}; BLAS threads per "
+                  f"worker: {backend.blas_threads_budget} of "
+                  f"{backend.effective_cores} cores")
     else:
-        engine = InferenceEngine(
+        backend = InferenceEngine(
             args.artifact, batching,
             quantize_activations=not args.no_activation_quant,
             verify_guardrail=not args.no_guardrail,
             tracing=tracing)
-        server = ModelServer(engine, host=args.host, port=args.port)
-        print(f"serving {args.artifact} [{engine.format.spec()}] on {server.url} "
-              f"(guardrail: {engine.guardrail_status})")
-        backend_stop = engine.stop
-        plant = EnginePlant(engine)
-        tracer = engine.tracer
-    controller = None if args.no_control else Controller(plant, control).start()
-    if controller is not None:
-        # Surface scale/AIMD decisions in /stats and /metrics.
-        server.attach_controller(controller)
+        served = f"{args.artifact} [{backend.format.spec()}]"
+        detail = f"guardrail: {backend.guardrail_status}"
+    # Scale/AIMD decisions surface in /stats and /metrics.
+    controller = None if args.no_control else Controller(backend, control)
+    server = ModelServer(backend, host=args.host, port=args.port,
+                         controller=controller)
+    print(f"serving {served} on {server.url} ({detail})")
     print(f"  POST {server.url}/predict   "
           f"GET {server.url}/healthz|/stats|/metrics"
           + ("|/traces" if tracing is not None else ""))
     print(f"  micro-batching: max_batch={args.max_batch} "
           f"max_wait_ms={args.max_wait_ms}")
     if controller is not None:
-        cap = controller.worker_cap
+        controller.start()
         print(f"  control: slo_p99_ms={args.slo_p99_ms} "
               f"workers=[{control.min_workers}, {control.max_workers}] "
-              f"(cpu cap: {cap}) "
+              f"(cpu cap: {controller.worker_cap}) "
               f"autoscale={'off' if args.no_autoscale else 'on'}")
     if tracing is not None:
         print(f"  tracing: sample_rate={tracing.sample_rate} "
@@ -515,11 +505,11 @@ def _cmd_serve(args) -> int:
         print("\nshutting down")
         if controller is not None:
             controller.stop()
-        backend_stop()
+        backend.stop()
         if args.trace_file and tracing is not None:
             from .obs import write_jsonl
 
-            spans = tracer.spans()
+            spans = backend.tracer.spans()
             write_jsonl(spans, args.trace_file)
             print(f"wrote {len(spans)} span(s) to {args.trace_file}")
     return 0

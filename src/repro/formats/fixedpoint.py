@@ -26,6 +26,10 @@ import numpy as np
 
 from .base import NumberFormat
 
+# The kernels module imports this one and is still initializing when this
+# line runs: bind the module, and look ``codec_for`` up per call.
+from . import kernels as _kernels
+
 __all__ = [
     "FixedPointFormat",
     "fixed_point_quantize",
@@ -99,22 +103,16 @@ class FixedPointFormat(NumberFormat):
         decode through a LUT (:mod:`repro.formats.kernels`); encode is the
         module functions below.
         """
-        from .kernels import codec_for
-
-        return codec_for(self).quantize(x, mode, rng)
+        return _kernels.codec_for(self).quantize(x, mode, rng)
 
     def to_bits(self, x, mode: str = "nearest",
                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Quantize ``x`` and return two's-complement codes (``int64``)."""
-        from .kernels import codec_for
-
-        return codec_for(self).to_bits(x, mode, rng)
+        return _kernels.codec_for(self).to_bits(x, mode, rng)
 
     def from_bits(self, bits) -> np.ndarray:
         """Decode two's-complement codes back to real values."""
-        from .kernels import codec_for
-
-        return codec_for(self).from_bits(bits)
+        return _kernels.codec_for(self).from_bits(bits)
 
 
 def fixed_point_quantize(x, fmt: FixedPointFormat, rounding: str = "nearest",

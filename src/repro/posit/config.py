@@ -25,6 +25,10 @@ from typing import Optional
 
 import numpy as np
 
+# The kernels module imports this one and is still initializing when this
+# line runs: bind the module, and look ``codec_for`` up per call.
+from ..formats import kernels as _kernels
+
 
 @dataclass(frozen=True, order=True)
 class PositConfig:
@@ -144,22 +148,16 @@ class PositConfig:
         rounding there goes to the module function).  Wider formats use the
         vectorized functions of :mod:`repro.posit.quantize`.
         """
-        from repro.formats.kernels import codec_for
-
-        return codec_for(self).quantize(x, mode, rng)
+        return _kernels.codec_for(self).quantize(x, mode, rng)
 
     def to_bits(self, x, mode: str = "zero",
                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Quantize ``x`` and return posit bit patterns (``int64``)."""
-        from repro.formats.kernels import codec_for
-
-        return codec_for(self).to_bits(x, mode, rng)
+        return _kernels.codec_for(self).to_bits(x, mode, rng)
 
     def from_bits(self, bits) -> np.ndarray:
         """Decode posit bit patterns back to real values."""
-        from repro.formats.kernels import codec_for
-
-        return codec_for(self).from_bits(bits)
+        return _kernels.codec_for(self).from_bits(bits)
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The kernels module imports this one and is still initializing when this
+# line runs: bind the module, and look ``codec_for`` up per call.
+from ..formats import kernels as _kernels
+
 __all__ = [
     "FloatFormat",
     "FP32",
@@ -140,22 +144,16 @@ class FloatFormat:
         float32-cast kernel (:mod:`repro.formats.kernels`); other wide
         formats by the module functions.
         """
-        from repro.formats.kernels import codec_for
-
-        return codec_for(self).quantize(x, mode, rng)
+        return _kernels.codec_for(self).quantize(x, mode, rng)
 
     def to_bits(self, x, mode: str = "nearest",
                 rng: np.random.Generator | None = None) -> np.ndarray:
         """Quantize ``x`` and return sign/exponent/mantissa bit patterns."""
-        from repro.formats.kernels import codec_for
-
-        return codec_for(self).to_bits(x, mode, rng)
+        return _kernels.codec_for(self).to_bits(x, mode, rng)
 
     def from_bits(self, bits) -> np.ndarray:
         """Decode sign/exponent/mantissa bit patterns to real values."""
-        from repro.formats.kernels import codec_for
-
-        return codec_for(self).from_bits(bits)
+        return _kernels.codec_for(self).from_bits(bits)
 
 
 #: Standard formats referenced by the paper and its baselines.

@@ -23,9 +23,12 @@ in posit is *served* in posit.  Four layers, composable separately:
   dynamic micro-batching (coalesce up to ``max_batch`` requests, waiting
   at most ``max_wait_ms`` and only while company is likely) with
   per-request latency and hardware-model energy accounting.
-* :mod:`repro.serve.transport` — a stdlib JSON-over-HTTP server
-  (``/predict``, ``/healthz``, ``/stats``) plus in-process and urllib
-  clients sharing one request contract.
+* :mod:`repro.serve.transport` — one stdlib JSON-over-HTTP server,
+  :class:`ModelServer` (``/predict``, ``/healthz``, ``/stats``,
+  ``/metrics``, ``/traces``), over either backend: an engine (through the
+  in-process :class:`LocalClient`) or a cluster as it is.  The cluster,
+  :class:`LocalClient` and the urllib :class:`HTTPClient` share one client
+  contract.
 * :mod:`repro.serve.cluster` — :class:`ServeCluster`: N engine worker
   *processes* (the single process is GIL-bound) behind one dispatcher with
   round-robin + least-outstanding routing, crash detection/restart, and
@@ -39,13 +42,14 @@ in posit is *served* in posit.  Four layers, composable separately:
   control plane: a lock-cheap rolling-window metrics collector sampled by
   every engine (arrivals, rejects, batch occupancy, per-stage latency
   histograms, which merge exactly across workers) feeds ``/stats``,
-  ``/metrics`` and a periodic :class:`Controller` that autoscales the
-  cluster between ``min_workers``/``max_workers`` (capped at the cores
-  the process may use, :func:`~repro.serve.host.effective_cores` — two
-  workers on one core is slower than one), AIMD-tunes ``max_wait_ms``
-  against a p99 SLO, and grades load as ok/busy/overloaded.  Overflowing
-  the bounded admission queue is backpressure, not failure:
-  :class:`AdmissionError` maps to HTTP 429 + ``Retry-After``.
+  ``/metrics`` and a periodic :class:`Controller`.  The controller takes
+  an engine or a cluster as it is: it autoscales the cluster between
+  ``min_workers``/``max_workers`` (capped at the cores the process may
+  use, :func:`~repro.serve.host.effective_cores` — two workers on one core
+  is slower than one), AIMD-tunes ``max_wait_ms`` against a p99 SLO, and
+  grades load as ok/busy/overloaded.  Overflowing the bounded admission
+  queue is backpressure, not failure: :class:`AdmissionError` maps to HTTP
+  429 + ``Retry-After``.
 * :mod:`repro.obs` (cross-cutting) — optional request tracing: pass a
   :class:`~repro.obs.TraceConfig` as ``tracing=`` to
   :class:`InferenceEngine` or :class:`ServeCluster` and every sampled
@@ -89,14 +93,9 @@ from .artifact import (
     segment_table,
 )
 from .cluster import ClusterConfig, ClusterError, ServeCluster
+from .control import ControlConfig, Controller
 # The load classifier is exported as ``classify_load``: ``load_state`` at
 # package level is the artifact state loader above.
-from .control import (
-    ClusterPlant,
-    ControlConfig,
-    Controller,
-    EnginePlant,
-)
 from .control import load_state as classify_load
 from .engine import AdmissionError, BatchingConfig, GuardrailError, InferenceEngine
 from .export import (
@@ -112,13 +111,7 @@ from .export import (
 from .loadgen import LoadReport, run_load
 from .metrics import MetricsCollector, merge_snapshots, render_prometheus
 from .packing import pack_codes, packed_nbytes, unpack_codes
-from .transport import (
-    ClusterServer,
-    HTTPClient,
-    LocalClient,
-    ModelServer,
-    ServeClientError,
-)
+from .transport import HTTPClient, LocalClient, ModelServer, ServeClientError
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -129,7 +122,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterError",
     "ServeCluster",
-    "ClusterServer",
     "build_guardrail",
     "save_model",
     "load_model",
@@ -149,8 +141,6 @@ __all__ = [
     "InferenceEngine",
     "Controller",
     "ControlConfig",
-    "EnginePlant",
-    "ClusterPlant",
     "classify_load",
     "MetricsCollector",
     "merge_snapshots",

@@ -29,10 +29,13 @@ sends every worker a shutdown message (each worker drains its engine's
 queued requests before exiting), then joins — escalating to ``terminate``
 only for workers that fail to exit in time.
 
-The cluster exposes the same client contract as the transports
-(``predict``/``healthz``/``stats``), so :func:`repro.serve.loadgen.run_load`
-drives it directly and :class:`repro.serve.transport.ClusterServer` puts it
-behind one HTTP listener.
+The cluster speaks the transports' client contract itself
+(``predict``/``healthz``/``stats``/``traces``/``metrics``), so
+:func:`repro.serve.loadgen.run_load` drives it directly and
+:class:`repro.serve.transport.ModelServer` puts it behind one HTTP
+listener; it answers the :class:`~repro.serve.control.Controller` as an
+engine does (``observe``, ``max_wait_ms``, ``set_max_wait_ms``,
+``scale_to``).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from ..obs.tracing import TraceConfig, Tracer
 from .control import load_state as classify_load, observation
 from .engine import AdmissionError, BatchingConfig, GuardrailError, InferenceEngine
 from .host import blas_budget, blas_threads, effective_cores, set_blas_threads
-from .metrics import MetricsCollector, merge_snapshots
+from .metrics import MetricsCollector, merge_snapshots, render_prometheus
 
 __all__ = ["ClusterConfig", "ServeCluster", "ClusterError", "WorkerCrashed"]
 
@@ -269,7 +272,6 @@ class _WorkerHandle:
         self.pid: Optional[int] = None
         self.restarts = 0
         self.dispatched = 0
-        self.outstanding = 0
         #: Incremented on every (re)spawn; reader threads tag themselves
         #: with it so a stale reader (previous incarnation's pipe) cannot
         #: mutate the state of a restarted worker.
@@ -278,6 +280,11 @@ class _WorkerHandle:
         self.pending_lock = threading.Lock()
         self.pending: dict[int, Future] = {}
         self.reader: Optional[threading.Thread] = None
+
+    @property
+    def outstanding(self) -> int:
+        """Requests sent to this worker and not yet answered."""
+        return len(self.pending)
 
     def send(self, message: dict) -> None:
         """Write one message down the pipe; ``OSError`` once it is closed."""
@@ -302,7 +309,6 @@ class _WorkerHandle:
     def fail_pending(self, reason: str) -> None:
         with self.pending_lock:
             pending, self.pending = self.pending, {}
-            self.outstanding = 0
         for future in pending.values():
             if not future.done():
                 future.set_exception(WorkerCrashed(reason))
@@ -362,10 +368,10 @@ class ServeCluster:
         self._monitor_stop = threading.Event()
         self._started_at = time.perf_counter()
         self._format_summary: Optional[dict] = None
-        #: Supervisor-side rolling counters: dispatches and the admission
-        #: rejects relayed from workers — the cheap signals healthz grades
-        #: load from without a worker round trip.
-        self.metrics = MetricsCollector()
+        #: Supervisor-side rolling counters: the admission rejects relayed
+        #: from workers (the cheap signal healthz grades load from without a
+        #: worker round trip) and scale moves.
+        self._supervisor_metrics = MetricsCollector()
         self._max_wait_ms = float((batching or BatchingConfig()).max_wait_ms)
         self._queue_size = int((batching or BatchingConfig()).queue_size)
         #: The CPU budget every worker's BLAS pool is sized from: cores
@@ -451,8 +457,6 @@ class ServeCluster:
                 continue
             with handle.pending_lock:
                 future = handle.pending.pop(message.get("id"), None)
-                if future is not None:
-                    handle.outstanding = max(0, handle.outstanding - 1)
             if future is None:
                 continue
             if message.get("ok"):
@@ -461,7 +465,7 @@ class ServeCluster:
                 # Typed backpressure: rebuild the engine's rejection with
                 # its Retry-After hint and tally it supervisor-side so
                 # healthz can report 'overloaded' without a worker poll.
-                self.metrics.count("rejected")
+                self._supervisor_metrics.count("rejected")
                 future.set_exception(AdmissionError(
                     message.get("error", "request queue full"),
                     retry_after_s=float(message.get("retry_after_s", 1.0))))
@@ -620,13 +624,11 @@ class ServeCluster:
         future: Future = Future()
         with handle.pending_lock:
             handle.pending[request_id] = future
-            handle.outstanding += 1
         try:
             handle.send(message)
         except OSError as exc:
             with handle.pending_lock:
                 handle.pending.pop(request_id, None)
-                handle.outstanding = max(0, handle.outstanding - 1)
             # A broken pipe means the worker is gone even if its reader
             # thread has not hit EOF yet; mark it dead now so dispatch
             # stops routing to it and the monitor restarts it promptly.
@@ -663,7 +665,8 @@ class ServeCluster:
         """
         if not self._started or self._stopping:
             raise ClusterError("cluster is not running; use start() or a with-block")
-        if not isinstance(samples, (list, tuple)) or not samples:
+        if (not isinstance(samples, (list, tuple, np.ndarray))
+                or not len(samples)):
             raise ValueError("'inputs' must be a non-empty list of samples")
         payload = [np.asarray(sample, dtype=np.float64) for sample in samples]
         root = self.tracer.begin("request", trace_id=trace_id,
@@ -820,7 +823,8 @@ class ServeCluster:
         if self.blas_threads_budget != budget:
             self._broadcast_control(blas_threads=self.blas_threads_budget)
         if delta:
-            self.metrics.count("scale_up" if delta > 0 else "scale_down")
+            self._supervisor_metrics.count("scale_up" if delta > 0
+                                           else "scale_down")
         return delta
 
     def _drain_retired(self, handle: _WorkerHandle,
@@ -863,11 +867,14 @@ class ServeCluster:
         """
         rows = self.worker_metrics(timeout)
         merged = merge_snapshots([row["metrics"] for row in rows])
-        merged["supervisor"] = self.metrics.snapshot()
+        merged["supervisor"] = self._supervisor_metrics.snapshot()
         return merged
 
-    def control_snapshot(self, timeout: float = 5.0) -> dict:
-        """One controller observation over the whole cluster."""
+    def observe(self, timeout: float = 5.0) -> Optional[dict]:
+        """One controller reading over the whole cluster; ``None`` while
+        the cluster is not running."""
+        if not self.running:
+            return None
         rows = self.worker_metrics(timeout)
         return observation(
             merge_snapshots([row["metrics"] for row in rows]),
@@ -904,7 +911,8 @@ class ServeCluster:
                               if handle.state == _READY)
             capacity = max(1, alive * self._queue_size)
             status = classify_load(outstanding / capacity,
-                                   self.metrics.count_in("rejected", 1.0))
+                                   self._supervisor_metrics.count_in(
+                                       "rejected", 1.0))
         return {
             "status": status,
             "artifact": self.artifact_path,
@@ -913,6 +921,20 @@ class ServeCluster:
             "worker_states": states,
             "guardrail": [handle.guardrail for handle in handles],
         }
+
+    def traces(self) -> dict:
+        """The supervisor's merged (cross-process) traces: ``/traces``."""
+        return {"tracing": self.tracer.summary(),
+                "spans": [span.to_dict() for span in self.tracer.spans()]}
+
+    def metrics(self) -> str:
+        """Prometheus text of :meth:`metrics_snapshot`: ``/metrics``."""
+        health = self.healthz()
+        return render_prometheus(
+            self.metrics_snapshot(),
+            extra={"workers": health["workers"],
+                   "workers_alive": health["alive"],
+                   "max_wait_ms_now": self.max_wait_ms})
 
     def _artifact_formats(self) -> dict:
         """Cached per-tensor format summary of the served artifact.

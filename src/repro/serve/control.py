@@ -26,11 +26,12 @@ blew p99 out to 190 ms.  This module closes the loop:
     consecutive ticks of agreeing evidence and are followed by a
     ``cooldown_ticks`` quiet period, so the worker count cannot flap.
 
-* :class:`EnginePlant` / :class:`ClusterPlant` — adapters giving the
-  controller one observe/actuate surface over an in-process
+* The plant is the backend itself: an in-process
   :class:`~repro.serve.engine.InferenceEngine` or a multi-process
-  :class:`~repro.serve.cluster.ServeCluster`, both read by
-  :func:`observation` from a (merged) metrics snapshot.
+  :class:`~repro.serve.cluster.ServeCluster`.  Both answer ``observe()``
+  (:func:`observation` over a metrics snapshot, merged across a cluster's
+  workers), ``max_wait_ms`` / ``set_max_wait_ms()`` and ``scale_to()``,
+  which for a single engine applies nothing and returns 0.
 
 * :func:`load_state` — the shared ok/busy/overloaded classification from
   queue utilization and recent rejections; the transports surface it
@@ -54,8 +55,8 @@ from typing import Callable, Optional
 
 from .host import effective_cores
 
-__all__ = ["ControlConfig", "Controller", "EnginePlant", "ClusterPlant",
-           "load_state", "observation", "LOAD_STATES"]
+__all__ = ["ControlConfig", "Controller", "load_state", "observation",
+           "LOAD_STATES"]
 
 #: The /healthz load states, from healthy to dead.  ``degraded``/``down``
 #: are liveness states (cluster workers missing); ``busy``/``overloaded``
@@ -153,56 +154,13 @@ class ControlConfig:
         return dict(self.__dict__)
 
 
-class EnginePlant:
-    """Observe/actuate adapter over one in-process ``InferenceEngine``.
-
-    A single engine has no workers to scale (that is the cluster's axis),
-    so :meth:`scale_to` applies nothing and reports a delta of 0; the wait
-    tuner and the backpressure signals still apply.
-    """
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def observe(self) -> Optional[dict]:
-        return observation(self.engine.metrics.snapshot(),
-                           queue_depth=self.engine.queue_depth,
-                           queue_capacity=self.engine.batching.queue_size,
-                           workers=1, workers_alive=1)
-
-    def get_max_wait_ms(self) -> float:
-        return self.engine.max_wait_ms
-
-    def set_max_wait_ms(self, value: float) -> None:
-        self.engine.set_max_wait_ms(value)
-
-    def scale_to(self, target: int) -> int:
-        return 0
-
-
-class ClusterPlant:
-    """Observe/actuate adapter over a ``ServeCluster``."""
-
-    def __init__(self, cluster):
-        self.cluster = cluster
-
-    def observe(self) -> Optional[dict]:
-        if not self.cluster.running:
-            return None
-        return self.cluster.control_snapshot()
-
-    def get_max_wait_ms(self) -> float:
-        return self.cluster.max_wait_ms
-
-    def set_max_wait_ms(self, value: float) -> None:
-        self.cluster.set_max_wait_ms(value)
-
-    def scale_to(self, target: int) -> int:
-        return self.cluster.scale_to(target)
-
-
 class Controller:
-    """Periodic control loop over one plant (engine or cluster).
+    """Periodic control loop over one plant: an engine or a cluster.
+
+    The plant is read through ``observe()`` and ``max_wait_ms`` and
+    actuated through ``set_max_wait_ms()`` and ``scale_to()``; an
+    :class:`~repro.serve.engine.InferenceEngine` and a
+    :class:`~repro.serve.cluster.ServeCluster` both answer them as they are.
 
     Deterministic core: :meth:`tick` reads one observation, applies the
     AIMD wait rule and the autoscaling rule, actuates the plant, and
@@ -257,7 +215,7 @@ class Controller:
         config = self.config
         if not config.tune_wait or not observation.get("latency_samples"):
             return
-        wait = float(self.plant.get_max_wait_ms())
+        wait = float(self.plant.max_wait_ms)
         p99 = float(observation.get("p99_ms", 0.0))
         if p99 > config.slo_p99_ms:
             # Multiplicative decrease: over SLO, shed coalescing delay fast.

@@ -56,7 +56,7 @@ from ..obs.profiler import profiler as _codec_profiler
 from ..obs.tracing import TraceConfig, Tracer
 from ..tensor import Tensor, no_grad
 from .artifact import format_breakdown, load_model
-from .control import load_state as classify_load
+from .control import load_state as classify_load, observation
 from .host import blas_threads
 from .metrics import MetricsCollector
 
@@ -109,6 +109,9 @@ class BatchingConfig:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
+        if self.queue_size < 1:
+            # queue.Queue(maxsize=0) has no bound: admission would never shed.
+            raise ValueError(f"queue_size must be >= 1, got {self.queue_size}")
 
 
 class _Request:
@@ -711,6 +714,17 @@ class InferenceEngine:
         """
         self._max_wait_ms = max(0.0, float(value))
         return self._max_wait_ms
+
+    def observe(self) -> dict:
+        """One controller reading of this engine's metrics and queue."""
+        return observation(self.metrics.snapshot(),
+                           queue_depth=self.queue_depth,
+                           queue_capacity=self.batching.queue_size,
+                           workers=1, workers_alive=1)
+
+    def scale_to(self, target: int) -> int:
+        """A single engine has no workers to scale: applies nothing, returns 0."""
+        return 0
 
     @property
     def queue_depth(self) -> int:

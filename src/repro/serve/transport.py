@@ -1,31 +1,29 @@
-"""Dependency-free JSON-over-HTTP transport for the inference engine.
+"""Dependency-free JSON-over-HTTP transport for the serving backends.
 
-A thin stdlib (:mod:`http.server`) shell around
-:class:`~repro.serve.engine.InferenceEngine` — no web framework, so the
-server runs anywhere the library does:
+A thin stdlib (:mod:`http.server`) shell, no web framework, so the server
+runs anywhere the library does.  :class:`ModelServer` serves one backend
+that speaks the client contract below: a multi-worker
+:class:`~repro.serve.cluster.ServeCluster` as it is, or one in-process
+:class:`~repro.serve.engine.InferenceEngine` through a :class:`LocalClient`.
 
 ``POST /predict``
     Body ``{"inputs": [[...sample...], ...]}`` (always a *list of samples*;
-    one sample is a one-element list).  Every sample is submitted to the
+    one sample is a one-element list).  Every sample is submitted to an
     engine individually, so concurrent HTTP clients coalesce in the
     micro-batcher exactly like in-process callers.  Response:
-    ``{"predictions": [argmax...], "logits": [[...]...]}``.
+    ``{"predictions": [argmax...], "logits": [[...]...]}`` (a cluster adds
+    the serving worker's index).
 ``GET /healthz``
-    ``{"status": "ok", "artifact": ..., "format": ...}`` — liveness.
-``GET /stats``
-    The engine's :meth:`~repro.serve.engine.InferenceEngine.stats` dict.
+    ``{"status": ..., "artifact": ..., ...}``: liveness and load; HTTP 503
+    only when the status is ``down``.
+``GET /stats``, ``GET /traces``, ``GET /metrics``
+    The backend's stats dict, its recorded spans, and its Prometheus text.
 
-:class:`LocalClient` exposes the same request/response contract in process
-(tests and the load generator run against either transport unchanged), and
-:class:`HTTPClient` is the matching :mod:`urllib` client.
-
-The HTTP shell is backend-agnostic: :class:`ModelServer` fronts one
-in-process :class:`~repro.serve.engine.InferenceEngine`, and
-:class:`ClusterServer` fronts a multi-worker
-:class:`~repro.serve.cluster.ServeCluster` — same endpoints, same error
-mapping, so clients cannot tell one worker from eight (except that
-``/stats`` aggregates across workers and ``/predict`` responses carry the
-serving worker's index).
+The client contract is ``predict(samples, trace_id=None) -> dict``,
+``healthz() -> dict``, ``stats()``, ``traces()`` and ``metrics() -> str``.
+:class:`LocalClient` speaks it in process, :class:`HTTPClient` over
+:mod:`urllib`, and :class:`~repro.serve.cluster.ServeCluster` directly, so
+tests and the load generator run against any of them unchanged.
 """
 
 from __future__ import annotations
@@ -45,25 +43,22 @@ from ..obs.tracing import TRACE_HEADER
 from .engine import AdmissionError, InferenceEngine
 from .metrics import render_prometheus
 
-__all__ = ["ModelServer", "ClusterServer", "LocalClient", "HTTPClient",
-           "ServeClientError"]
+__all__ = ["ModelServer", "LocalClient", "HTTPClient", "ServeClientError"]
 
 
-def _controller_families(controller) -> Optional[list]:
-    """Prometheus families for an attached controller's decision counters."""
-    if controller is None:
-        return None
+def _controller_metrics(controller) -> str:
+    """Prometheus text for an attached controller's decision counters."""
     counts = getattr(controller, "decision_counts", None)
     if not counts:
-        return None
-    return [{
+        return ""
+    return render_prometheus({}, families=[{
         "name": "repro_controller_decisions_total",
         "type": "counter",
         "help": "Control-loop decisions taken, by action "
                 "(scale_up/scale_down/wait_increase/wait_backoff).",
         "samples": [({"action": action}, float(value))
                     for action, value in sorted(counts.items())],
-    }]
+    }])
 
 
 class ServeClientError(RuntimeError):
@@ -82,91 +77,41 @@ class ServeClientError(RuntimeError):
         self.retry_after = retry_after
 
 
-def _predict_payload(engine: InferenceEngine, samples: Sequence,
-                     trace_id: Optional[str] = None) -> dict:
-    """Shared request semantics for both transports: fan out, gather, reply.
+def _client_error(exc: BaseException) -> Optional[ServeClientError]:
+    """The client-visible form of a request failure; ``None`` if unexpected.
 
-    When the engine's tracer is enabled (and this request is sampled) a
-    ``request`` root span wraps the whole fan-out and its trace id is
-    echoed in the payload, so HTTP clients can correlate a slow response
-    with an exported trace.  ``trace_id`` lets the caller (the
-    ``X-Repro-Trace-Id`` header path) supply the id.
+    The one exception-to-status table: the HTTP handler replies with it and
+    :class:`LocalClient` raises it.  :class:`ServeClientError` and
+    :class:`AdmissionError` subclass ``RuntimeError``, so they are matched
+    before it.
     """
-    if not isinstance(samples, (list, tuple)) or not samples:
-        raise ValueError("'inputs' must be a non-empty list of samples")
-    tracer = engine.tracer
-    root = tracer.begin("request", trace_id=trace_id,
-                        annotations={"samples": len(samples)})
-    # An explicitly unsampled context keeps the engine from re-rolling the
-    # sampling dice per sample: the transport's decision is the request's.
-    ctx = (root.context() if root is not None
-           else ({"sampled": False} if tracer.enabled else None))
-    try:
-        futures = [engine.submit(np.asarray(sample, dtype=np.float64),
-                                 trace=ctx)
-                   for sample in samples]
-        logits = [future.result(timeout=60.0) for future in futures]
-    except BaseException as exc:
-        if root is not None:
-            root.finish(error=repr(exc))
-        raise
-    payload = {
-        "predictions": [int(np.argmax(row)) for row in logits],
-        "logits": [np.asarray(row, dtype=np.float64).tolist() for row in logits],
-    }
-    if root is not None:
-        root.finish()
-        payload["trace_id"] = root.trace_id
-    return payload
+    if isinstance(exc, ServeClientError):
+        return exc
+    if isinstance(exc, FuturesTimeout):  # wedged/overloaded batcher
+        return ServeClientError(504, f"prediction timed out: {exc}")
+    if isinstance(exc, (ValueError, TypeError)):  # malformed request
+        return ServeClientError(400, str(exc))
+    if isinstance(exc, AdmissionError):
+        # Backpressure, not failure: the admission queue is full, so tell
+        # the client *when* to come back.
+        return ServeClientError(429, str(exc), retry_after=exc.retry_after_s)
+    if isinstance(exc, RuntimeError):  # engine stopped / no workers
+        return ServeClientError(503, str(exc))
+    return None
 
 
-class _EngineBackend:
-    """Serving backend over one in-process :class:`InferenceEngine`.
+class LocalClient:
+    """In-process client over one :class:`InferenceEngine`.
 
-    ``controller`` (optional) is an attached control loop whose decision
-    history rides along in ``/stats`` and whose decision counters become
-    the ``repro_controller_decisions_total`` Prometheus family.
+    Drives the engine's micro-batcher directly — the load generator and the
+    tests use it to exercise batching without socket overhead, and
+    :class:`ModelServer` serves an engine through one.  A request failure
+    raises :class:`ServeClientError` with the status HTTP answers; an
+    unexpected exception passes through.
     """
 
-    def __init__(self, engine: InferenceEngine, controller=None):
+    def __init__(self, engine: InferenceEngine):
         self.engine = engine
-        self.controller = controller
-
-    @property
-    def tracer(self):
-        return self.engine.tracer
-
-    def handle_predict(self, samples, trace_id: Optional[str] = None) -> dict:
-        return _predict_payload(self.engine, samples, trace_id=trace_id)
-
-    def healthz(self) -> tuple[int, dict]:
-        # Load states for a single engine: ok / busy / overloaded from its
-        # admission queue (the process answering at all proves liveness).
-        return 200, {
-            "status": self.engine.load_state(),
-            "artifact": self.engine.artifact_path,
-            "format": self.engine.format.spec(),
-            "guardrail": self.engine.guardrail_status,
-        }
-
-    def stats(self) -> dict:
-        payload = self.engine.stats()
-        if self.controller is not None:
-            payload["controller"] = self.controller.describe()
-        return payload
-
-    def traces(self) -> dict:
-        tracer = self.engine.tracer
-        return {"tracing": tracer.summary(),
-                "spans": [span.to_dict() for span in tracer.spans()]}
-
-    def metrics_text(self) -> str:
-        return render_prometheus(
-            self.engine.metrics.snapshot(),
-            extra={"queue_depth_now": self.engine.queue_depth,
-                   "max_wait_ms_now": self.engine.max_wait_ms,
-                   "workers": 1},
-            families=_controller_families(self.controller))
 
     def start(self) -> None:
         self.engine.start()
@@ -174,56 +119,77 @@ class _EngineBackend:
     def stop(self) -> None:
         self.engine.stop()
 
+    def predict(self, samples: Sequence,
+                trace_id: Optional[str] = None) -> dict:
+        """Fan the samples out to the micro-batcher, gather, reply.
 
-class _ClusterBackend:
-    """Serving backend over a multi-worker ``ServeCluster``."""
-
-    def __init__(self, cluster, controller=None):
-        self.cluster = cluster
-        self.controller = controller
-
-    @property
-    def tracer(self):
-        return self.cluster.tracer
-
-    def handle_predict(self, samples, trace_id: Optional[str] = None) -> dict:
-        if not isinstance(samples, (list, tuple)) or not samples:
-            raise ValueError("'inputs' must be a non-empty list of samples")
-        return self.cluster.predict(list(samples), trace_id=trace_id)
-
-    def healthz(self) -> tuple[int, dict]:
-        payload = self.cluster.healthz()
-        # A cluster with zero live workers is not a server, it is an outage;
-        # every other state (busy/overloaded/degraded) still answers 200 so
-        # load balancers keep it in rotation — overload is signalled per
-        # request via 429, not by failing the health probe.
-        return (503 if payload["status"] == "down" else 200), payload
-
-    def stats(self) -> dict:
-        payload = self.cluster.stats()
-        if self.controller is not None:
-            payload["controller"] = self.controller.describe()
+        When the engine's tracer is enabled (and this request is sampled) a
+        ``request`` root span wraps the whole fan-out and its trace id is
+        echoed in the payload, so HTTP clients can correlate a slow response
+        with an exported trace.  ``trace_id`` lets the caller (the
+        ``X-Repro-Trace-Id`` header path) supply the id.
+        """
+        engine = self.engine
+        root = None
+        try:
+            if (not isinstance(samples, (list, tuple, np.ndarray))
+                    or not len(samples)):
+                raise ValueError("'inputs' must be a non-empty list of samples")
+            tracer = engine.tracer
+            root = tracer.begin("request", trace_id=trace_id,
+                                annotations={"samples": len(samples)})
+            # An explicitly unsampled context keeps the engine from
+            # re-rolling the sampling dice per sample: this decision is the
+            # request's.
+            ctx = (root.context() if root is not None
+                   else ({"sampled": False} if tracer.enabled else None))
+            futures = [engine.submit(np.asarray(sample, dtype=np.float64),
+                                     trace=ctx)
+                       for sample in samples]
+            logits = [future.result(timeout=60.0) for future in futures]
+        except BaseException as exc:
+            if root is not None:
+                root.finish(error=repr(exc))
+            error = _client_error(exc)
+            if error is None:
+                raise
+            raise error from exc
+        payload = {
+            "predictions": [int(np.argmax(row)) for row in logits],
+            "logits": [np.asarray(row, dtype=np.float64).tolist()
+                       for row in logits],
+        }
+        if root is not None:
+            root.finish()
+            payload["trace_id"] = root.trace_id
         return payload
 
+    def healthz(self) -> dict:
+        # Load states for a single engine: ok / busy / overloaded from its
+        # admission queue (the process answering at all proves liveness).
+        engine = self.engine
+        return {
+            "status": engine.load_state(),
+            "artifact": engine.artifact_path,
+            "format": engine.format.spec(),
+            "guardrail": engine.guardrail_status,
+        }
+
+    def stats(self) -> dict:
+        return self.engine.stats()
+
     def traces(self) -> dict:
-        tracer = self.cluster.tracer
+        tracer = self.engine.tracer
         return {"tracing": tracer.summary(),
                 "spans": [span.to_dict() for span in tracer.spans()]}
 
-    def metrics_text(self) -> str:
-        health = self.cluster.healthz()
+    def metrics(self) -> str:
+        engine = self.engine
         return render_prometheus(
-            self.cluster.metrics_snapshot(),
-            extra={"workers": health["workers"],
-                   "workers_alive": health["alive"],
-                   "max_wait_ms_now": self.cluster.max_wait_ms},
-            families=_controller_families(self.controller))
-
-    def start(self) -> None:
-        self.cluster.start()
-
-    def stop(self) -> None:
-        self.cluster.stop()
+            engine.metrics.snapshot(),
+            extra={"queue_depth_now": engine.queue_depth,
+                   "max_wait_ms_now": engine.max_wait_ms,
+                   "workers": 1})
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -267,20 +233,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     @property
-    def backend(self):
-        return self.server.backend  # type: ignore[attr-defined]
+    def owner(self) -> "ModelServer":
+        return self.server.owner  # type: ignore[attr-defined]
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib signature
+        server = self.owner
         if self.path == "/healthz":
-            status, payload = self.backend.healthz()
-            self._reply(status, payload)
+            payload = server.backend.healthz()
+            # No live worker is an outage, not a server; every other state
+            # (busy/overloaded/degraded) still answers 200 so load balancers
+            # keep it in rotation — overload is signalled per request via
+            # 429, not by failing the health probe.
+            self._reply(503 if payload["status"] == "down" else 200, payload)
         elif self.path == "/stats":
-            self._reply(200, self.backend.stats())
+            payload = server.backend.stats()
+            if server.controller is not None:
+                payload["controller"] = server.controller.describe()
+            self._reply(200, payload)
         elif self.path == "/traces":
-            self._reply(200, self.backend.traces())
+            self._reply(200, server.backend.traces())
         elif self.path == "/metrics":
             try:
-                self._reply_text(200, self.backend.metrics_text())
+                self._reply_text(200, server.backend.metrics()
+                                 + _controller_metrics(server.controller))
             except Exception as exc:  # noqa: BLE001 - a scrape must not kill
                 # the listener thread; degrade to an empty exposition.
                 self._reply_text(200, f"# metrics unavailable: {exc}\n")
@@ -293,6 +268,16 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown: reading it would wait for EOF,
+            # so answer now and close the connection unread.
+            self._reply(400, {"error": "Content-Length must be a "
+                                       "non-negative integer"},
+                        headers={"Connection": "close"})
+            return
+        try:
             document = json.loads(self.rfile.read(length) or b"")
             if not isinstance(document, dict):
                 raise ValueError("request body must be a JSON object")
@@ -300,31 +285,23 @@ class _Handler(BaseHTTPRequestHandler):
             # names the request's trace; the response echoes the id (header
             # + payload) whenever the request was traced.
             trace_id = self.headers.get(TRACE_HEADER) or None
-            payload = self.backend.handle_predict(document.get("inputs"),
-                                                  trace_id=trace_id)
-        except FuturesTimeout as exc:  # wedged/overloaded batcher
-            self._reply(504, {"error": f"prediction timed out: {exc}"})
-            return
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
-            self._reply(400, {"error": str(exc)})
-            return
-        except AdmissionError as exc:
-            # Backpressure, not failure: the admission queue is full, so
-            # tell the client *when* to come back.  Retry-After is integer
-            # delta-seconds per RFC 9110 (rounded up, never 0).
-            retry_after = max(0.05, float(exc.retry_after_s))
-            self._reply(429, {"error": str(exc),
-                              "retry_after_s": retry_after},
-                        headers={"Retry-After":
-                                 str(max(1, math.ceil(retry_after)))})
-            return
-        except RuntimeError as exc:  # engine stopped / no workers
-            self._reply(503, {"error": str(exc)})
-            return
-        except Exception as exc:  # noqa: BLE001 - a JSON 500 beats a dropped
-            # connection: unexpected engine failures must still honour the
-            # transport's error contract.
-            self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+            payload = self.owner.backend.predict(document.get("inputs"),
+                                                 trace_id=trace_id)
+        except Exception as exc:  # noqa: BLE001 - every failure gets a reply
+            error = _client_error(exc)
+            if error is None:
+                # A JSON 500 beats a dropped connection: unexpected backend
+                # failures must still honour the transport's error contract.
+                self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+                return
+            body, headers = {"error": error.message}, None
+            if error.retry_after is not None:
+                # Retry-After is integer delta-seconds per RFC 9110
+                # (rounded up, never 0).
+                retry_after = max(0.05, float(error.retry_after))
+                body["retry_after_s"] = retry_after
+                headers = {"Retry-After": str(max(1, math.ceil(retry_after)))}
+            self._reply(error.status, body, headers=headers)
             return
         headers = ({TRACE_HEADER: payload["trace_id"]}
                    if payload.get("trace_id") else None)
@@ -339,14 +316,31 @@ class _Server(ThreadingHTTPServer):
     request_queue_size = 256
 
 
-class _HTTPShell:
-    """Shared threaded-HTTP lifecycle over one serving backend."""
+class ModelServer:
+    """Threaded HTTP server over one serving backend.
 
-    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0):
-        self._backend = backend
+    ``backend`` is a :class:`~repro.serve.cluster.ServeCluster`, a
+    :class:`LocalClient`, or any object with the client contract plus
+    ``start()``/``stop()``; an :class:`InferenceEngine` is wrapped in a
+    :class:`LocalClient`.  With a cluster the listener threads only parse
+    and frame JSON: the MAC work runs in the worker processes.
+
+    ``port=0`` binds an ephemeral port (read it back from :attr:`port`
+    after construction) — the test- and CI-friendly default.  The server
+    owns the backend's lifecycle: :meth:`start` starts it, :meth:`stop`
+    shuts both down.  ``controller`` (optional) is a control loop whose
+    decisions ride along in ``/stats`` and whose decision counters become
+    the ``repro_controller_decisions_total`` Prometheus family.
+    """
+
+    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0,
+                 controller=None):
+        if isinstance(backend, InferenceEngine):
+            backend = LocalClient(backend)
+        self.backend = backend
+        self.controller = controller
         self._httpd = _Server((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.backend = backend  # type: ignore[attr-defined]
+        self._httpd.owner = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -362,9 +356,9 @@ class _HTTPShell:
         """Base URL clients should target."""
         return f"http://{self.host}:{self.port}"
 
-    def start(self):
+    def start(self) -> "ModelServer":
         """Start the backend and serve requests on a background thread."""
-        self._backend.start()
+        self.backend.start()
         if self._thread is None or not self._thread.is_alive():
             self._thread = threading.Thread(target=self._httpd.serve_forever,
                                             name="repro-serve-http", daemon=True)
@@ -378,18 +372,18 @@ class _HTTPShell:
             self._thread.join(timeout=10.0)
         self._thread = None
         self._httpd.server_close()
-        self._backend.stop()
+        self.backend.stop()
 
     def serve_forever(self) -> None:
         """Blocking serve loop (the ``repro serve`` CLI path)."""
-        self._backend.start()
+        self.backend.start()
         try:
             self._httpd.serve_forever()
         finally:
             self._httpd.server_close()
-            self._backend.stop()
+            self.backend.stop()
 
-    def __enter__(self):
+    def __enter__(self) -> "ModelServer":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -397,80 +391,7 @@ class _HTTPShell:
 
     def attach_controller(self, controller) -> None:
         """Expose a control loop's decisions via /stats and /metrics."""
-        self._backend.controller = controller
-
-
-class ModelServer(_HTTPShell):
-    """Threaded HTTP server wrapping one :class:`InferenceEngine`.
-
-    ``port=0`` binds an ephemeral port (read it back from :attr:`port`
-    after construction) — the test- and CI-friendly default.  The server
-    owns the engine lifecycle: :meth:`start` starts the micro-batcher,
-    :meth:`stop` shuts both down.
-    """
-
-    def __init__(self, engine: InferenceEngine, host: str = "127.0.0.1",
-                 port: int = 0, controller=None):
-        super().__init__(_EngineBackend(engine, controller=controller),
-                         host=host, port=port)
-        self.engine = engine
-
-
-class ClusterServer(_HTTPShell):
-    """One HTTP listener over a multi-worker :class:`ServeCluster`.
-
-    The listener thread pool accepts and parses requests; the actual MAC
-    work happens in the cluster's worker processes, so the GIL in this
-    process only touches JSON framing.  ``/stats`` aggregates across
-    workers; ``/healthz`` reports ``ok``/``degraded``/``down`` (the last
-    with HTTP 503).
-    """
-
-    def __init__(self, cluster, host: str = "127.0.0.1", port: int = 0,
-                 controller=None):
-        super().__init__(_ClusterBackend(cluster, controller=controller),
-                         host=host, port=port)
-        self.cluster = cluster
-
-
-class LocalClient:
-    """In-process client speaking the transport's request contract.
-
-    Drives the engine's micro-batcher directly — the load generator and the
-    tests use it to exercise batching without socket overhead.  Every
-    endpoint is the :class:`ModelServer` backend's, minus the HTTP.
-    """
-
-    def __init__(self, engine: InferenceEngine):
-        self.engine = engine
-        self._backend = _EngineBackend(engine)
-
-    def predict(self, samples: Sequence,
-                trace_id: Optional[str] = None) -> dict:
-        try:
-            return self._backend.handle_predict(list(samples),
-                                                trace_id=trace_id)
-        except FuturesTimeout as exc:
-            raise ServeClientError(504, f"prediction timed out: {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ServeClientError(400, str(exc)) from exc
-        except AdmissionError as exc:
-            raise ServeClientError(429, str(exc),
-                                   retry_after=exc.retry_after_s) from exc
-        except RuntimeError as exc:
-            raise ServeClientError(503, str(exc)) from exc
-
-    def healthz(self) -> dict:
-        return self._backend.healthz()[1]
-
-    def stats(self) -> dict:
-        return self._backend.stats()
-
-    def traces(self) -> dict:
-        return self._backend.traces()
-
-    def metrics(self) -> str:
-        return self._backend.metrics_text()
+        self.controller = controller
 
 
 class HTTPClient:

@@ -15,6 +15,11 @@ went when :func:`repro.formats.codec_for` became the one codec decision.
 ``RoleStats`` became a counter: its log2 statistics are gone, with no switch
 to bring them back; ``RangeTracker`` and ``DistributionRecorder`` measure
 ranges.
+
+Serving has one server and one controller over either backend:
+``ModelServer`` and ``Controller`` take an ``InferenceEngine`` or a
+``ServeCluster`` as it is, so the per-backend server, plant and adapter
+classes are gone.
 """
 
 import importlib
@@ -134,3 +139,28 @@ class TestRoleStatsAnalysisRemoved:
         assert not hasattr(stats, name)
         assert name not in stats.as_dict()
         assert stats.as_dict() == {"calls": 1, "elements": 2, "last_scale": 1.0}
+
+
+class TestServingAdaptersRemoved:
+    @pytest.mark.parametrize("module, name", [
+        ("repro.serve", "ClusterServer"),
+        ("repro.serve.transport", "ClusterServer"),
+        ("repro.serve.transport", "_EngineBackend"),
+        ("repro.serve.transport", "_ClusterBackend"),
+        ("repro.serve.transport", "_HTTPShell"),
+        ("repro.serve.transport", "_predict_payload"),
+        ("repro.serve", "EnginePlant"),
+        ("repro.serve.control", "EnginePlant"),
+        ("repro.serve", "ClusterPlant"),
+        ("repro.serve.control", "ClusterPlant"),
+    ])
+    def test_name_is_gone(self, module, name):
+        mod = importlib.import_module(module)
+        assert not hasattr(mod, name)
+        assert name not in getattr(mod, "__all__", ())
+
+    def test_cluster_control_snapshot_is_now_observe(self):
+        from repro.serve import ServeCluster
+
+        assert not hasattr(ServeCluster, "control_snapshot")
+        assert callable(ServeCluster.observe)

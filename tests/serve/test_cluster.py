@@ -24,11 +24,10 @@ from repro.serve import (
     BatchingConfig,
     ClusterConfig,
     ClusterError,
-    ClusterPlant,
-    ClusterServer,
     GuardrailError,
     HTTPClient,
     InferenceEngine,
+    ModelServer,
     ServeClientError,
     ServeCluster,
     run_load,
@@ -134,7 +133,7 @@ class TestClusterBasics:
         merged = stats["metrics"]
         assert stats["requests"] == merged["lifetime"]["completed"]
         assert stats["latency_p99_ms"] == merged["latency_ms"]["total"]["p99"]
-        assert (ClusterPlant(cluster).observe()["latency_samples"]
+        assert (cluster.observe()["latency_samples"]
                 == merged["latency_ms"]["total"]["count"])
 
     def test_malformed_sample_fails_only_its_request(self, cluster, samples):
@@ -143,6 +142,14 @@ class TestClusterBasics:
         # The cluster is still healthy and serving afterwards.
         payload = cluster.predict([samples[0]])
         assert len(payload["logits"]) == 1
+
+    def test_predict_takes_an_array_of_samples(self, cluster, samples):
+        # As LocalClient and HTTPClient do: an array's rows are samples.
+        payload = cluster.predict(samples[:3])
+        assert np.array_equal(payload["logits"],
+                              cluster.predict(list(samples[:3]))["logits"])
+        with pytest.raises(ValueError, match="non-empty list"):
+            cluster.predict(samples[:0])
 
     def test_predict_after_stop_raises(self, artifact, samples):
         cluster = ServeCluster(artifact, ClusterConfig(workers=2))
@@ -596,7 +603,7 @@ class TestClusterHTTP:
         cluster = ServeCluster(artifact, ClusterConfig(workers=2),
                                batching=BatchingConfig(max_batch=16,
                                                        max_wait_ms=2.0))
-        with ClusterServer(cluster) as running:
+        with ModelServer(cluster) as running:
             yield running
 
     def test_healthz_reports_cluster_state(self, server):

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    BatchingConfig,
     ControlConfig,
     Controller,
-    EnginePlant,
+    InferenceEngine,
     MetricsCollector,
     classify_load,
     merge_snapshots,
@@ -55,9 +56,6 @@ class FakePlant:
     def observe(self):
         return None  # tests pass observations to tick() directly
 
-    def get_max_wait_ms(self) -> float:
-        return self.max_wait_ms
-
     def set_max_wait_ms(self, value: float) -> None:
         self.max_wait_ms = value
         self.wait_history.append(value)
@@ -67,6 +65,17 @@ class FakePlant:
         self.workers = target
         self.scale_calls.append(target)
         return delta
+
+
+def bare_engine(queue_depth: int, queue_size: int) -> InferenceEngine:
+    """An :class:`InferenceEngine`'s control surface with no artifact
+    behind it: a scripted queue depth and fake-clocked metrics."""
+    engine = InferenceEngine.__new__(InferenceEngine)
+    engine.batching = BatchingConfig(queue_size=queue_size)
+    engine.metrics = MetricsCollector(window_s=10.0, clock=FakeClock())
+    engine._queue = SimpleNamespace(qsize=lambda: queue_depth)
+    engine._max_wait_ms = 2.0
+    return engine
 
 
 def observation(workers=1, queue_depth=0, queue_capacity=100, p99_ms=10.0,
@@ -197,13 +206,11 @@ class TestWaitTuning:
         controller.tick({**observation(p99_ms=80.0), "batch_size_mean": 1.0})
         assert plant.max_wait_ms == pytest.approx(1.25)
 
-    def test_engine_plant_reports_mean_batch_size(self):
-        engine = SimpleNamespace(
-            metrics=MetricsCollector(window_s=10.0, clock=FakeClock()),
-            queue_depth=0, batching=SimpleNamespace(queue_size=64))
+    def test_engine_observe_reports_mean_batch_size(self):
+        engine = bare_engine(queue_depth=0, queue_size=64)
         for size in (1, 3):
             engine.metrics.gauge("batch_size", size)
-        assert EnginePlant(engine).observe()["batch_size_mean"] == 2.0
+        assert engine.observe()["batch_size_mean"] == 2.0
 
 
 # --------------------------------------------------------------------- #
@@ -289,14 +296,12 @@ class TestAutoscaling:
             controller.tick(observation(workers=2, queue_depth=0))
         assert plant.scale_calls == []
 
-    def test_engine_plant_records_no_scale_moves(self):
-        # One in-process engine has no workers to add: the plant applies
-        # nothing, so no event, decision or cooldown may be recorded.
-        engine = SimpleNamespace(
-            metrics=MetricsCollector(window_s=10.0, clock=FakeClock()),
-            queue_depth=73, batching=SimpleNamespace(queue_size=100))
+    def test_engine_records_no_scale_moves(self):
+        # One in-process engine has no workers to add: it applies nothing,
+        # so no event, decision or cooldown may be recorded.
+        engine = bare_engine(queue_depth=73, queue_size=100)
         for cooldown_ticks in (0, 6):
-            controller = self.controller(EnginePlant(engine), hysteresis_ticks=1,
+            controller = self.controller(engine, hysteresis_ticks=1,
                                          cooldown_ticks=cooldown_ticks)
             decisions = [controller.tick() for _ in range(5)]
             assert decisions[-1]["queue_utilization"] == pytest.approx(0.73)

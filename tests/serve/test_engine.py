@@ -9,7 +9,6 @@ import pytest
 from repro.api import ExperimentConfig
 from repro.serve import (
     BatchingConfig,
-    EnginePlant,
     InferenceEngine,
     train_and_export,
 )
@@ -128,7 +127,7 @@ def test_stats_accounting(artifact, samples):
     total = stats["metrics"]["latency_ms"]["total"]
     assert stats["requests"] == stats["metrics"]["lifetime"]["completed"]
     assert stats["latency_p99_ms"] == total["p99"]
-    assert EnginePlant(engine).observe()["latency_samples"] == total["count"]
+    assert engine.observe()["latency_samples"] == total["count"]
     assert stats["energy_uj_per_sample"] > 0
     # Compute energy per sample, memory energy per coalesced batch — so the
     # total is strictly below 16 unbatched single-sample passes whenever

@@ -27,7 +27,6 @@ from repro.obs import (
 from repro.serve import (
     BatchingConfig,
     ClusterConfig,
-    ClusterServer,
     HTTPClient,
     InferenceEngine,
     LocalClient,
@@ -279,7 +278,7 @@ class TestClusterTracing:
         cluster = ServeCluster(artifact, ClusterConfig(workers=2),
                                batching=traced_batching(),
                                tracing=TraceConfig(enabled=True))
-        with ClusterServer(cluster) as server:
+        with ModelServer(cluster) as server:
             client = HTTPClient(server.url)
             response = client.predict([samples[0]])
             trace_id = response["trace_id"]

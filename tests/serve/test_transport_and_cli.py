@@ -6,7 +6,9 @@ import os
 import socket
 import statistics
 import time
+import urllib.error
 import urllib.request
+from concurrent.futures import Future, TimeoutError as FuturesTimeout
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from repro.api import ExperimentConfig
 from repro.cli import main as cli_main
 from repro.serve import (
+    AdmissionError,
     BatchingConfig,
     HTTPClient,
     InferenceEngine,
@@ -72,13 +75,13 @@ def test_healthz_and_stats(server):
 def test_predict_matches_in_process(server, samples):
     client = HTTPClient(server.url)
     response = client.predict(samples[:5])
-    direct = server.engine.predict_batch(samples[:5])
+    direct = server.backend.engine.predict_batch(samples[:5])
     assert np.array_equal(np.asarray(response["logits"]), direct)
     assert response["predictions"] == [int(np.argmax(row)) for row in direct]
 
 
 def test_local_client_same_contract(server, samples):
-    local = LocalClient(server.engine)
+    local = LocalClient(server.backend.engine)
     http = HTTPClient(server.url)
     assert local.predict(samples[:3]) == http.predict(samples[:3])
     assert local.healthz() == http.healthz()
@@ -152,6 +155,26 @@ def test_expect_100_continue_is_answered_before_the_body(server, samples):
         assert sock.recv(4096).startswith(b"HTTP/1.1 200")
 
 
+@pytest.mark.parametrize("length", ["-1", "abc"])
+def test_bad_content_length_is_400_and_closes(server, samples, length):
+    """A body of unknown extent is not read: reading it would wait for EOF
+    and pin the handler thread while the client waits for a reply."""
+    head = (f"POST /predict HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n")
+    with socket.create_connection((server.host, server.port),
+                                  timeout=3) as sock:
+        sock.sendall(head.encode())
+        reply = b""
+        while chunk := sock.recv(4096):  # until the server closes
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400")
+    assert b"Connection: close" in reply
+    # Other connections are still served.
+    response = HTTPClient(server.url).predict([samples[0]])
+    assert len(response["logits"]) == 1
+
+
 def test_concurrent_http_load(server, samples):
     """64 concurrent closed-loop HTTP clients: all 200s, batching engaged."""
     report = run_load(HTTPClient(server.url), samples, concurrency=64,
@@ -160,7 +183,7 @@ def test_concurrent_http_load(server, samples):
     assert report["failed"] == 0, report["errors"]
     assert report["completed"] == 128
     assert report["throughput_rps"] > 0
-    stats = server.engine.stats()
+    stats = server.backend.engine.stats()
     assert stats["requests"] >= 128
     assert stats["mean_batch_size"] > 1.0
 
@@ -348,6 +371,17 @@ def test_cli_serve_rejects_bad_artifact(tmp_path, capsys):
     assert "bad magic" in capsys.readouterr().err
 
 
+def test_zero_queue_size_is_rejected():
+    # queue.Queue(maxsize=0) is unbounded, and load_state() divides by it.
+    with pytest.raises(ValueError, match="queue_size must be >= 1"):
+        BatchingConfig(queue_size=0)
+
+
+def test_cli_serve_rejects_zero_queue_size(capsys):
+    assert cli_main(["serve", "model.rpak", "--queue-size", "0"]) == 2
+    assert "queue_size must be >= 1" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- #
 # Mixed policies export mixed artifacts by default
 # --------------------------------------------------------------------- #
@@ -483,3 +517,130 @@ def test_run_load_without_slow_ms_omits_fields(artifact, samples):
                           requests_per_client=2)
     assert "slow" not in report
     assert "slow_trace_ids" not in report
+
+
+# --------------------------------------------------------------------- #
+# One server over any backend that speaks the client contract
+# --------------------------------------------------------------------- #
+class _ScriptedBackend:
+    """Neither an engine nor a cluster: the client contract plus
+    ``start``/``stop``, with a scripted health status and predict failure."""
+
+    def __init__(self, status: str = "ok", error: Exception = None):
+        self.status = status
+        self.error = error
+        self.running = False
+
+    def start(self):
+        self.running = True
+
+    def stop(self):
+        self.running = False
+
+    def predict(self, samples, trace_id=None):
+        if self.error is not None:
+            raise self.error
+        return {"predictions": [0] * len(samples), "trace_id": trace_id}
+
+    def healthz(self):
+        return {"status": self.status}
+
+    def stats(self):
+        return {"requests": 0}
+
+    def traces(self):
+        return {"tracing": {}, "spans": []}
+
+    def metrics(self):
+        return "# TYPE repro_serve_up gauge\nrepro_serve_up 1\n"
+
+
+def _status_and_body(url: str) -> tuple[int, dict]:
+    try:
+        with urllib.request.urlopen(url, timeout=10) as reply:
+            return reply.status, json.loads(reply.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def test_server_serves_any_backend_with_the_contract():
+    backend = _ScriptedBackend()
+    with ModelServer(backend, controller=_StubController()) as server:
+        assert backend.running
+        client = HTTPClient(server.url)
+        response = client.predict([[0.0, 0.0]], trace_id="ab" * 16)
+        assert response == {"predictions": [0], "trace_id": "ab" * 16}
+        assert client.healthz() == {"status": "ok"}
+        stats = client.stats()
+        assert stats["requests"] == 0
+        assert stats["controller"]["decision_counts"] == {
+            "scale_up": 2, "wait_backoff": 5}
+        assert client.traces() == {"tracing": {}, "spans": []}
+        exposition = client.metrics()
+        assert exposition.startswith(backend.metrics())
+        assert 'repro_controller_decisions_total{action="scale_up"} 2' in exposition
+    assert not backend.running
+
+
+@pytest.mark.parametrize("status", ["ok", "busy", "overloaded", "degraded",
+                                    "down"])
+def test_healthz_is_503_only_when_down(status):
+    with ModelServer(_ScriptedBackend(status=status)) as server:
+        code, body = _status_and_body(f"{server.url}/healthz")
+    assert code == (503 if status == "down" else 200)
+    assert body == {"status": status}
+
+
+@pytest.mark.parametrize("error, status", [
+    (ValueError("bad sample"), 400),
+    (TypeError("bad type"), 400),
+    (FuturesTimeout(), 504),
+    (AdmissionError("queue full", retry_after_s=2.5), 429),
+    (RuntimeError("no live workers"), 503),
+    (ServeClientError(418, "upstream said so"), 418),
+    (KeyError("surprise"), 500),
+])
+def test_one_status_table_for_predict_failures(error, status):
+    with ModelServer(_ScriptedBackend(error=error)) as server:
+        request = urllib.request.Request(
+            f"{server.url}/predict", data=b'{"inputs": [[0.0, 0.0]]}',
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+    assert excinfo.value.code == status
+    body = json.loads(excinfo.value.read())
+    if status == 429:
+        assert body == {"error": "queue full", "retry_after_s": 2.5}
+        assert excinfo.value.headers["Retry-After"] == "3"
+    else:
+        assert list(body) == ["error"]
+        assert "Retry-After" not in excinfo.value.headers
+
+
+def test_local_client_statuses_and_passthrough(artifact, monkeypatch):
+    engine = InferenceEngine(artifact)
+    client = LocalClient(engine)
+    with pytest.raises(ServeClientError) as excinfo:
+        client.predict([np.zeros(2)])  # not started
+    assert excinfo.value.status == 503
+    client.start()
+    try:
+        for bad in ([], None, {"inputs": []}, [np.zeros(5)]):
+            with pytest.raises(ServeClientError) as excinfo:
+                client.predict(bad)
+            assert excinfo.value.status == 400
+        timed_out = Future()
+        timed_out.set_exception(FuturesTimeout())
+        monkeypatch.setattr(engine, "submit", lambda *a, **k: timed_out)
+        with pytest.raises(ServeClientError) as excinfo:
+            client.predict([np.zeros(2)])
+        assert excinfo.value.status == 504
+
+        def unexpected(*args, **kwargs):
+            raise KeyError("surprise")
+
+        monkeypatch.setattr(engine, "submit", unexpected)
+        with pytest.raises(KeyError):
+            client.predict([np.zeros(2)])
+    finally:
+        client.stop()
