@@ -74,15 +74,18 @@ def fake_quantize(x: Tensor, quantizer: Quantizer, scale: float = 1.0) -> Tensor
     gradient with respect to the full-precision master copy intact, which
     matches the paper's flow where the FP32 master weights are updated and
     then re-quantized.
+
+    Over a graph node (a layer's output) the result takes the node's place:
+    it keeps ``x``'s parents and backward closure, which serve its gradient
+    unchanged, so ``x`` and its unquantized values die with the caller's
+    reference.  Over a leaf (a parameter or an input) it is a new node that
+    hands its gradient to ``x``.
     """
-
-    def _forward(values: np.ndarray) -> np.ndarray:
-        return apply_scaled_quantization(values, quantizer, scale)
-
-    def _backward(upstream: np.ndarray, inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-        return upstream
-
-    return x.apply(_forward, _backward, name="fake_quantize")
+    quantized = apply_scaled_quantization(x.data, quantizer, scale)
+    if x._parents:
+        return Tensor._make(quantized, x._parents, x._backward, name=x.name)
+    return Tensor._make(quantized, (x,), lambda upstream: [(x, upstream)],
+                        name="fake_quantize")
 
 
 def grad_quantize(x: Tensor, quantizer: Quantizer,

@@ -9,7 +9,9 @@ frozen (hashable) dataclasses, so they key the cache directly.
 Every quantizer is a :class:`FormatQuantizer`: the format's own
 ``quantize`` / ``to_bits`` / ``from_bits`` methods bound to one rounding
 mode, so a quantizer call takes exactly the codec path (and the profiler
-hook) that a direct format-method call takes.
+hook) that a direct format-method call takes.  Handing a quantizer out
+builds its format's codec (:func:`~repro.formats.kernels.codec_for`), so a
+codec's tables are allocated when a policy attaches, not at its first call.
 
 Calls that carry an explicit random generator (seeded stochastic rounding)
 bypass the cache: a shared generator across layers would entangle their
@@ -24,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .base import NumberFormat
-from .kernels import reference_ops
+from .kernels import codec_for, reference_ops
 from .registry import parse_format
 
 __all__ = ["FormatQuantizer", "get_quantizer", "clear_quantizer_cache",
@@ -73,6 +75,10 @@ def _build(fmt: NumberFormat, rounding: str,
     ref = reference_ops(fmt)
     if ref is not None and ref.map_mode(rounding) is None:
         raise ValueError(f"unknown rounding mode {rounding!r} for {fmt.spec()}")
+    # Build the codec's tables now, while the caller (typically a policy's
+    # attach) holds little memory, not at the first quantize, which may come
+    # in the middle of a backward pass with its whole graph alive.
+    codec_for(fmt)
     return FormatQuantizer(fmt, rounding, rng)
 
 

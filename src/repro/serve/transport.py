@@ -342,6 +342,11 @@ class ModelServer:
         self._httpd = _Server((host, port), _Handler)
         self._httpd.owner = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
+        # "idle" -> "entered" -> "stopped".  ``shutdown()`` waits for a
+        # ``serve_forever`` to return, so ``stop()`` calls it only once a
+        # serve loop has been entered, and no loop is entered after it.
+        self._loop_lock = threading.Lock()
+        self._loop = "idle"
 
     @property
     def host(self) -> str:
@@ -356,18 +361,34 @@ class ModelServer:
         """Base URL clients should target."""
         return f"http://{self.host}:{self.port}"
 
+    def _enter_loop(self) -> bool:
+        """Whether a serve loop may start now (not once :meth:`stop` ran)."""
+        with self._loop_lock:
+            if self._loop == "stopped":
+                return False
+            self._loop = "entered"
+            return True
+
     def start(self) -> "ModelServer":
         """Start the backend and serve requests on a background thread."""
         self.backend.start()
-        if self._thread is None or not self._thread.is_alive():
+        if (self._thread is None or not self._thread.is_alive()) and self._enter_loop():
             self._thread = threading.Thread(target=self._httpd.serve_forever,
                                             name="repro-serve-http", daemon=True)
             self._thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop accepting requests, then stop the backend."""
-        self._httpd.shutdown()
+        """Stop accepting requests, then stop the backend.
+
+        Returns at once when no serve loop ran (``start()`` never called, or
+        its backend failed to start), and ends a blocking
+        :meth:`serve_forever` running on another thread.
+        """
+        with self._loop_lock:
+            entered, self._loop = self._loop == "entered", "stopped"
+        if entered:
+            self._httpd.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
         self._thread = None
@@ -378,7 +399,8 @@ class ModelServer:
         """Blocking serve loop (the ``repro serve`` CLI path)."""
         self.backend.start()
         try:
-            self._httpd.serve_forever()
+            if self._enter_loop():
+                self._httpd.serve_forever()
         finally:
             self._httpd.server_close()
             self.backend.stop()

@@ -12,7 +12,11 @@ a convolution then read memory in order.
 A convolution's graph node keeps only its inputs.  The im2col columns (nine
 values per input value for a 3x3 kernel) are dropped after the forward
 product; backward rebuilds them, bit for bit, from the input when the weight
-needs a gradient, and frees them before the input-gradient product.
+needs a gradient, and frees them before the input-gradient product.  The
+rebuilt columns hold the same values as :func:`im2col`'s but are laid out
+``(C*kh*kw, N, L)`` in memory, the order in which the weight-gradient GEMM
+reads them, so it takes them in place; over ``im2col``'s ``(N, C*kh*kw, L)``
+layout it would first copy them transposed.
 
 All functions take and return :class:`repro.tensor.Tensor` objects with
 ``NCHW`` layout.
@@ -45,6 +49,34 @@ def _output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _patches(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
+             padding: tuple[int, int]) -> np.ndarray:
+    """Strided view of every patch of the zero-padded ``x``:
+    ``(N, C, kh, kw, out_h, out_w)``."""
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    out_h = _output_size(h, kh, sh, ph)
+    out_w = _output_size(w, kw, sw, pw)
+
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    strides = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(
+            strides[0],
+            strides[1],
+            strides[2],
+            strides[3],
+            strides[2] * sh,
+            strides[3] * sw,
+        ),
+        writeable=False,
+    )
+
+
 def im2col(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
            padding: tuple[int, int]) -> np.ndarray:
     """Lower image patches to columns.
@@ -61,30 +93,20 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
     numpy.ndarray
         Array of shape ``(N, C * kh * kw, out_h * out_w)``.
     """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = _output_size(h, kh, sh, ph)
-    out_w = _output_size(w, kw, sw, pw)
+    patches = _patches(x, kernel, stride, padding)
+    n, c, kh, kw, out_h, out_w = patches.shape
+    return patches.reshape(n, c * kh * kw, out_h * out_w)
 
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # Strided view of all patches: (N, C, kh, kw, out_h, out_w)
-    strides = padded.strides
-    view = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2],
-            strides[3],
-            strides[2] * sh,
-            strides[3] * sw,
-        ),
-        writeable=False,
-    )
-    return view.reshape(n, c * kh * kw, out_h * out_w)
+
+def _weight_grad_cols(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
+                      padding: tuple[int, int]) -> np.ndarray:
+    """:func:`im2col`'s ``(N, C*kh*kw, L)`` columns, laid out ``(C*kh*kw, N, L)``
+    in memory: the weight-gradient GEMM reads them as an F-ordered
+    ``(N*L, C*kh*kw)`` matrix in place, with no transposed copy."""
+    patches = _patches(x, kernel, stride, padding)
+    n, c, kh, kw, out_h, out_w = patches.shape
+    cols = np.ascontiguousarray(patches.transpose(1, 2, 3, 0, 4, 5))
+    return cols.reshape(c * kh * kw, n, out_h * out_w).transpose(1, 0, 2)
 
 
 def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
@@ -153,7 +175,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if weight.requires_grad:
             # The columns, rebuilt from the input, are freed before the dx GEMM.
             grad_w = np.einsum("nol,nfl->of", grad_out,
-                               im2col(x.data, (kh, kw), stride, padding), optimize=True)
+                               _weight_grad_cols(x.data, (kh, kw), stride, padding),
+                               optimize=True)
             results.append((weight, grad_w.reshape(weight.shape)))
         if x.requires_grad:
             # d/dx: scatter W^T @ grad_out back through col2im.

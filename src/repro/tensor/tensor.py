@@ -16,6 +16,13 @@ Design notes
   closure returns its ``(parent, partial)`` pairs and holds no reference to
   the output, so a graph has no reference cycle: reference counting frees
   a training step's intermediates as soon as its output is dropped.
+* ``backward()`` releases the graph as it walks it.  Once a node other than
+  the root has been visited, it drops its closure and its parents, and the
+  engine drops the node, so each saved array dies right after its last use
+  unless the caller holds that tensor.  The root keeps its closure and
+  parents.  A second ``backward()`` through a released node raises
+  ``RuntimeError`` instead of adding the gradients twice; build the graph
+  again with a new forward.
 * Broadcasting is supported for elementwise operations; gradients are
   reduced back to the original shapes with :func:`unbroadcast`.
 * The engine intentionally exposes the same method names used by the rest of
@@ -76,6 +83,15 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether operations on this thread record the autograd graph."""
     return _GRAD_MODE.enabled
+
+
+_RELEASED = ("this graph was released by an earlier backward(); "
+             "run the forward again to build a new one")
+
+
+def _released(upstream: np.ndarray) -> list:
+    """The closure of a node that ``backward()`` has already run."""
+    raise RuntimeError(_RELEASED)
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -182,7 +198,12 @@ class Tensor:
         name: str = "",
     ) -> "Tensor":
         """Graph node for ``data``; ``backward(upstream)`` returns the
-        ``(parent, partial)`` pairs and must not reference the new node."""
+        ``(parent, partial)`` pairs and must not reference the new node.
+
+        A node may reuse its producer's ``parents`` and ``backward`` when its
+        gradient is the producer's, as a straight-through quantizer's is
+        (:func:`repro.core.transform.fake_quantize`): the producer can then
+        be dropped."""
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, name=name)
         if requires:
@@ -198,6 +219,11 @@ class Tensor:
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate gradients from this tensor through the graph.
+
+        Releases the graph as it goes: each node but this one gives up its
+        closure and parents once visited, so what backward still needs is
+        all that stays alive.  A second call over the same graph raises
+        ``RuntimeError``.
 
         Parameters
         ----------
@@ -226,6 +252,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                raise RuntimeError(_RELEASED)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -233,15 +261,21 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        while topo:
+            # Popping drops the engine's reference, and a visited node drops
+            # its closure and parents: its arrays die once no caller holds it.
+            node = topo.pop()
+            backward = node._backward
+            if backward is not None and node is not self:
+                node._backward, node._parents = _released, ()
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node.requires_grad and node._backward is None:
-                # Leaf tensor: accumulate.
-                node._accumulate(node_grad)
-            if node._backward is not None:
-                for parent, pgrad in node._backward(node_grad):
+            if backward is None:
+                if node.requires_grad:  # leaf tensor: accumulate
+                    node._accumulate(node_grad)
+            else:
+                for parent, pgrad in backward(node_grad):
                     if pgrad is None:
                         continue
                     key = id(parent)

@@ -61,6 +61,41 @@ class TestFakeQuantize:
         out.backward(upstream)
         np.testing.assert_array_equal(x.grad, upstream)
 
+    def test_over_a_node_it_takes_the_producers_place(self, rng):
+        """Over a layer output the quantized tensor keeps the producer's
+        parents and closure, so the unquantized values can die; values and
+        gradients equal those of a straight-through node over the producer,
+        bit for bit (fails at the parent, whose output hung off the producer)."""
+        quantizer, scale = get_quantizer(CFG_FWD), 0.25
+        x_data, w_data = rng.standard_normal((4, 6)), rng.standard_normal((6, 3))
+        upstream = rng.standard_normal((4, 3))
+
+        def run(quantize):
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            produced = x.matmul(w).relu()
+            out = quantize(produced)
+            shares = out._parents == produced._parents and out._backward is produced._backward
+            out.backward(upstream)
+            return out, x, w, shares
+
+        out, x, w, shares = run(lambda produced: fake_quantize(produced, quantizer, scale))
+        oracle = run(lambda produced: produced.apply(
+            lambda values: apply_scaled_quantization(values, quantizer, scale),
+            lambda grad, inputs, outputs: grad, name="fake_quantize"))
+        assert shares and not oracle[3]
+        np.testing.assert_array_equal(out.data, oracle[0].data)
+        np.testing.assert_array_equal(x.grad, oracle[1].grad)
+        np.testing.assert_array_equal(w.grad, oracle[2].grad)
+
+    def test_over_a_leaf_it_is_a_straight_through_node(self, rng):
+        w = Tensor(rng.standard_normal(8), requires_grad=True)
+        out = fake_quantize(w, get_quantizer(CFG_FWD), 0.5)
+        assert out._parents == (w,) and out.name == "fake_quantize"
+        upstream = rng.standard_normal(8)
+        out.backward(upstream)
+        np.testing.assert_array_equal(w.grad, upstream)
+
     def test_scale_applied(self, rng):
         x = Tensor(rng.standard_normal(100) * 1e-4, requires_grad=True)
         scale = ScaleEstimator(sigma=2).scale_for(x.data)

@@ -10,6 +10,7 @@ from repro.formats import (
     get_quantizer,
     quantizer_cache_info,
 )
+from repro.formats import kernels
 from repro.posit import FP16, PositConfig
 
 
@@ -69,6 +70,15 @@ class TestCaching:
         assert info["size"] == 2
         assert ("posit(8,1)", "zero") in info["keys"]
         assert ("fp16", "nearest") in info["keys"]
+
+    def test_handing_out_a_quantizer_builds_its_codec(self):
+        """The codec's tables are built when a policy attaches the quantizer,
+        not at its first call, which may come in the middle of a backward
+        pass (fails at the parent, which built them lazily)."""
+        fmt = PositConfig(16, 2)
+        kernels.clear_kernel_cache()
+        get_quantizer(fmt)
+        assert fmt in kernels._CODECS
 
     def test_unsupported_descriptor_raises(self):
         with pytest.raises(TypeError, match="not a NumberFormat"):

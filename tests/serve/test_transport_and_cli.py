@@ -5,6 +5,7 @@ import json
 import os
 import socket
 import statistics
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -615,6 +616,53 @@ def test_one_status_table_for_predict_failures(error, status):
     else:
         assert list(body) == ["error"]
         assert "Retry-After" not in excinfo.value.headers
+
+
+# --------------------------------------------------------------------- #
+# stop() returns whether or not a serve loop ever ran
+# --------------------------------------------------------------------- #
+class _FailingStartBackend(_ScriptedBackend):
+    def start(self):
+        raise RuntimeError("backend failed to start")
+
+
+def _returns_within(call, seconds: float = 5.0) -> bool:
+    """Run ``call`` on a daemon thread and report whether it returned in
+    time: a hang strands the thread, not the suite."""
+    returned = []
+    thread = threading.Thread(target=lambda: returned.append(call()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    return returned == [None]
+
+
+def test_stop_without_start_returns():
+    """At the parent, ``shutdown()`` waited for a serve loop that never ran."""
+    backend = _ScriptedBackend()
+    backend.running = True
+    server = ModelServer(backend)
+    assert _returns_within(server.stop)
+    assert not backend.running
+    assert _returns_within(server.serve_forever)  # stopped: no loop starts
+
+
+def test_stop_after_a_failed_backend_start_returns():
+    """At the parent this hung like ``stop()`` without ``start()``."""
+    server = ModelServer(_FailingStartBackend())
+    with pytest.raises(RuntimeError, match="failed to start"):
+        server.start()
+    assert _returns_within(server.stop)
+
+
+def test_stop_from_another_thread_ends_a_blocking_serve_forever():
+    backend = _ScriptedBackend()
+    server = ModelServer(backend)
+    loop = threading.Thread(target=server.serve_forever, daemon=True)
+    loop.start()
+    assert HTTPClient(server.url, timeout=5.0).healthz() == {"status": "ok"}
+    assert _returns_within(server.stop)
+    loop.join(5.0)
+    assert not loop.is_alive() and not backend.running
 
 
 def test_local_client_statuses_and_passthrough(artifact, monkeypatch):

@@ -141,6 +141,47 @@ class TestConvBackwardKeepsOnlyInputs:
         assert all(size <= x.data.nbytes for size in sizes), (sizes, x.data.nbytes)
 
 
+class TestWeightGradColumns:
+    """The weight-gradient GEMM gets the im2col columns laid out
+    ``(C*kh*kw, N, L)``, the order it reads them in, and computes the same
+    dW bit for bit as over the row-major columns (the layout assertion fails
+    at the parent, which passed ``im2col``'s ``(N, C*kh*kw, L)`` copy)."""
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride, padding", [
+        *CIFAR_RESNET_CONVS.values(),
+        ((3, 5, 7, 9), (6, 5, 3, 2), (2, 1), (1, 0)),
+    ], ids=[*CIFAR_RESNET_CONVS, "odd_stride_padding"])
+    def test_dw_reads_column_major_columns_bit_identically(self, rng, monkeypatch, x_shape,
+                                                          w_shape, stride, padding):
+        from repro.tensor.conv import _pair
+
+        stride, padding = _pair(stride), _pair(padding)
+        x_data = rng.standard_normal(x_shape)
+        x = Tensor(x_data, requires_grad=True)
+        w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+        out = conv2d(x, w, None, stride=stride, padding=padding)
+        upstream = rng.standard_normal(out.shape)
+
+        einsum, operands = np.einsum, []
+
+        def spy_einsum(subscripts, *arrays, **kwargs):
+            operands.append((subscripts, arrays))
+            return einsum(subscripts, *arrays, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy_einsum)
+        out.backward(upstream)
+        monkeypatch.undo()
+
+        [(subscripts, (grad_out, cols))] = operands
+        assert subscripts == "nol,nfl->of"
+        row_major = im2col(x_data, w_shape[2:], stride, padding)
+        np.testing.assert_array_equal(cols, row_major)
+        assert cols.transpose(1, 0, 2).flags.c_contiguous
+        expected = np.einsum("nol,nfl->of", upstream.reshape(grad_out.shape), row_major,
+                             optimize=True)
+        np.testing.assert_array_equal(w.grad, expected.reshape(w_shape))
+
+
 class TestIm2Col:
     def test_shape(self):
         x = np.random.default_rng(0).standard_normal((2, 3, 8, 8))

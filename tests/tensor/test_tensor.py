@@ -134,6 +134,34 @@ class TestBackwardMechanics:
         assert x.grad is not None
 
 
+class TestBackwardReleasesTheGraph:
+    def test_visited_nodes_give_up_their_closure_and_parents(self):
+        """The root keeps both, so a caller can still read the node it holds;
+        every other node it reached drops them (fails at the parent, where
+        the graph stayed whole)."""
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        mid = x * 3
+        loss = mid.sum()
+        closure = loss._backward
+        loss.backward()
+        assert loss._parents == (mid,) and loss._backward is closure
+        assert mid._parents == ()
+        assert x._parents == () and x._backward is None  # leaves are untouched
+
+    def test_second_backward_over_a_released_graph_raises(self):
+        """It raises before adding anything, where the parent added every
+        gradient a second time."""
+        scale = Tensor(2.0, requires_grad=True)
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        loss = scale * (x * x).relu().sum()
+        loss.backward()
+        first = scale.grad.copy(), x.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        np.testing.assert_array_equal(scale.grad, first[0])
+        np.testing.assert_array_equal(x.grad, first[1])
+
+
 class TestArithmeticGradients:
     def test_add(self, numgrad):
         data = np.random.default_rng(0).standard_normal((3, 4))
