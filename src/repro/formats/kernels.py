@@ -31,16 +31,26 @@ layout is a float32 cast.  Each LUT kernel is built from precomputed tables:
   included).  The table holds 16-bit line indices, ``np.searchsorted`` of
   each bucket's first value, computed once at build time; posit(16,x)
   needs 229,378 buckets and a table above ``2**20`` is refused.
-* **rounding tables** — round-to-nearest folds the tie-to-even rule into a
-  per-interval threshold (probed from the module functions, so ties behave
-  bit-for-bit identically), and stochastic rounding reuses their own
-  ``(mag - lo) / (hi - lo)`` probability expression via a gap table.
 * **sign/storage LUTs** — the final code/value is one gather from a
-  ``2 * L``-entry table indexed by ``line_index + L * signbit``, built by
-  running the module ``to_bits`` over ``±line_vals`` — two's-complement
-  posit negatives, IEEE sign bits, and canonical-zero encoding all come out
-  of the probe rather than being re-implemented (and re-diverged) here.
+  ``2 * L``-entry table indexed by ``line_index + L * signbit``.  The code
+  table is the decode LUT inverted: each positive line value's code, then
+  the code of each negative value by magnitude, so two's-complement posit
+  negatives and IEEE sign bits come out of the decode rather than being
+  re-implemented here.  Zero's two slots hold the oracle's canonical zero
+  code, probed, and a build whose negative grid is not the positive one
+  mirrored is refused.
+* **rounding tables** — round-to-nearest folds the tie rule into a
+  per-interval threshold at the oracle's own float64 midpoint.  A tie goes
+  to the even code, up where the lower code is odd, except in interval 0
+  (zero to ``minpos``), which follows each family's underflow rule and is
+  probed.  Stochastic rounding reuses the oracle's ``(mag - lo) / (hi -
+  lo)`` probability expression via a gap table.
 
+The decode is the only bulk oracle call.  A small fixed probe holds both
+derivations to the module functions at build time: ``quantize`` of the
+first and last 64 midpoints and 256 hashed ones, and ``to_bits`` of the
+``±line`` values at the same kind of indices.  A mismatch raises
+:class:`_KernelUnsupported`, and the format keeps its reference ops.
 Special values (NaN, ±inf, exact ±0) are likewise probed per family and
 patched via masks; the all-finite fast path pays one ``isfinite().all()``
 check.
@@ -105,9 +115,33 @@ _BLOCK = 8192
 #: posit(32,x)); wider posits keep the module functions.
 _POSIT_BITFIELD_MAX_BITS = 32
 
+#: A LUT build checks the tables it derives against the oracle on the first
+#: and last ``_PROBE_EDGE`` entries and ``_PROBE_DRAWS`` scattered ones: the
+#: high words of ``k * _PROBE_HASH`` for ``k = 1.._PROBE_DRAWS`` (Fibonacci
+#: hashing), a fixed sequence that needs no random generator.
+_PROBE_EDGE = 64
+_PROBE_DRAWS = 256
+_PROBE_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+_SPECIALS = np.array([np.nan, np.inf, -np.inf])
+
 
 class _KernelUnsupported(Exception):
     """Raised at build time when a format violates the table assumptions."""
+
+
+def _probe_indices(n: int) -> np.ndarray:
+    """Sorted table indices a build probes: both ends and scattered ones.
+
+    A hash and a mask, not ``numpy.random`` and ``np.union1d``: in a process
+    that has not imported them, the first costs ~2 MB of resident memory and
+    ~6 ms, and the second imports ``numpy.ma`` for another 1.5 MB.
+    """
+    probed = np.zeros(n, dtype=bool)
+    probed[:_PROBE_EDGE] = probed[-_PROBE_EDGE:] = True
+    hashed = np.arange(1, _PROBE_DRAWS + 1, dtype=np.uint64) * _PROBE_HASH
+    probed[(hashed >> np.uint64(32)) % np.uint64(n)] = True
+    return np.flatnonzero(probed)
 
 
 def kernels_enabled() -> bool:
@@ -220,25 +254,73 @@ class _LineKernel:
         self._ref = ref
         self._mask = (np.int64(1) << fmt.bits) - 1
         self._decode_lut = _build_decode_lut(fmt, ref)
-
-        finite = np.isfinite(self._decode_lut)
-        positive = np.sort(self._decode_lut[finite & (self._decode_lut > 0)])
-        if positive.size == 0 or np.any(np.diff(positive) <= 0):
-            raise _KernelUnsupported("positive values are not strictly increasing")
-        line_vals = np.concatenate(([0.0], positive))
-        self._line_vals = line_vals
-        self._L = line_vals.size
-
+        # The inversion's temporaries are freed before the bucket build
+        # allocates its larger ones: holding them across it raised
+        # train_posit's peak RSS by 1.5 MB.
+        self._invert_decode_lut(ref)
+        line_vals = self._line_vals
         self._build_buckets(line_vals)
         self._build_rounding_tables(line_vals, ref)
-        self._build_output_luts(line_vals, ref)
         self._self_check(line_vals)
 
     # -- build ------------------------------------------------------------
 
+    def _invert_decode_lut(self, ref: _ReferenceOps) -> None:
+        """The line and the sign/storage LUTs, from the decode LUT inverted:
+        the codes of the positive values in ascending order, then those of
+        the negative ones by magnitude."""
+        lut = self._decode_lut
+        finite = np.isfinite(lut)
+        pos_codes = np.flatnonzero(finite & (lut > 0))
+        pos_codes = pos_codes[np.argsort(lut[pos_codes], kind="stable")]
+        positive = lut[pos_codes]
+        if positive.size == 0 or np.any(np.diff(positive) <= 0):
+            raise _KernelUnsupported("positive values are not strictly increasing")
+        neg_codes = np.flatnonzero(finite & (lut < 0))
+        neg_codes = neg_codes[np.argsort(-lut[neg_codes], kind="stable")]
+        if not np.array_equal(-lut[neg_codes], positive):
+            raise _KernelUnsupported("the negative grid is not the positive one mirrored")
+        self._line_vals = np.concatenate(([0.0], positive))
+        self._L = self._line_vals.size
+        self._build_output_luts(self._line_vals, pos_codes, neg_codes, ref)
+
+    def _build_output_luts(self, line_vals: np.ndarray, pos_codes: np.ndarray,
+                           neg_codes: np.ndarray, ref: _ReferenceOps) -> None:
+        # Codes: the inverted decode LUT, zero's slots holding the oracle's
+        # canonical zero code.  A probe of ``to_bits`` over ±line values
+        # (zero and -0.0 among them) holds the inversion to the oracle.
+        probe = _probe_indices(self._L)
+        x = np.concatenate((line_vals[probe], -line_vals[probe], _SPECIALS))
+        codes = np.asarray(ref.to_bits(x, "nearest"), dtype=np.int64)
+        zero = codes[:1]                     # to_bits(0.0): probe[0] == 0
+        self._code_out = np.concatenate((zero, pos_codes, zero, neg_codes))
+        if not np.array_equal(codes[:-3], self._code_out[np.append(probe, probe + self._L)]):
+            raise _KernelUnsupported("the inverted decode LUT disagrees with to_bits")
+        self._code_nan, self._code_pinf, self._code_ninf = codes[-3:]
+
+        val_out = np.concatenate((line_vals, -line_vals))
+        # The two zero slots hold what the oracle returns for magnitudes that
+        # round to zero (posit: +0.0 for both signs; float: the sign is kept,
+        # so a negative underflow yields -0.0).  Probed with a magnitude
+        # deterministically below every mode's round-up region.
+        tiny = 0.25 * line_vals[1]
+        vals = np.asarray(ref.quantize(
+            np.concatenate(([tiny, -tiny, 0.0, -0.0], _SPECIALS)), "nearest"))
+        val_out[0], val_out[self._L] = vals[0], vals[1]
+        self._val_out = val_out
+        self._val_pzero, self._val_nzero = vals[2], vals[3]
+        self._val_nan, self._val_pinf, self._val_ninf = vals[4:]
+
     def _build_buckets(self, line_vals: np.ndarray) -> None:
         # ``sh`` counts the low fraction bits clear in every positive grid
         # value, so each grid value starts a bucket (see the module docstring).
+        # Keep the searchsorted: it frees ~1.8 MB of temporaries (posit(16,x)),
+        # which raises glibc's dynamic mmap and trim thresholds past the 1 MB
+        # temporaries of a 2**17-element codec call.  A scatter plus
+        # ``np.maximum.accumulate`` builds the same table without them, and a
+        # fresh `codec` benchmark process then took 53-401 minor page faults
+        # per call, against ~0.01 (README "Codec kernels").  Replace it only
+        # once the hot paths no longer depend on heap history.
         bits = line_vals[1:].view(np.int64)
         low = int(np.bitwise_or.reduce(bits & ((1 << _FRACTION_BITS) - 1)))
         sh = (low & -low).bit_length() - 1 if low else _FRACTION_BITS
@@ -253,41 +335,22 @@ class _LineKernel:
 
     def _build_rounding_tables(self, line_vals: np.ndarray, ref: _ReferenceOps) -> None:
         # Nearest: one threshold per interval [v_l, v_{l+1}).  The midpoint
-        # uses the same float64 expression as the oracle, and the tie
-        # direction (to the even code) is probed rather than re-derived:
-        # quantizing the midpoint itself tells us which side wins.
+        # uses the same float64 expression as the oracle, and a tie goes to
+        # the even code: up where the lower code is odd.  Interval 0 (zero
+        # to minpos) follows the family's underflow rule instead, so its
+        # tie is probed, and a probe of midpoints holds the rest to the
+        # oracle.
         mids = 0.5 * (line_vals[:-1] + line_vals[1:])
-        tie_hi = np.asarray(ref.quantize(mids, "nearest")) == line_vals[1:]
+        tie_hi = (self._code_out[:mids.size] & 1) == 1
+        probe = _probe_indices(mids.size)
+        probed = np.asarray(ref.quantize(mids[probe], "nearest")) == line_vals[probe + 1]
+        tie_hi[0] = probed[0]                # probe[0] == 0
+        if not np.array_equal(tie_hi[probe], probed):
+            raise _KernelUnsupported("midpoint ties do not go to the even code")
         thr = np.where(tie_hi, np.nextafter(mids, -np.inf), mids)
         self._thr = np.append(thr, np.inf)
         # Stochastic: P(hi) = (mag - lo) / gap, the oracle's own expression.
         self._gap = np.append(np.diff(line_vals), np.inf)
-
-    def _build_output_luts(self, line_vals: np.ndarray, ref: _ReferenceOps) -> None:
-        pos_codes = np.asarray(ref.to_bits(line_vals, "nearest"), dtype=np.int64)
-        neg_codes = np.asarray(ref.to_bits(-line_vals, "nearest"), dtype=np.int64)
-        if pos_codes[0] != neg_codes[0]:
-            raise _KernelUnsupported("zero is not canonically encoded")
-        self._code_out = np.concatenate((pos_codes, neg_codes))
-
-        val_out = np.concatenate((line_vals, -line_vals))
-        # The two zero slots hold what the oracle returns for magnitudes that
-        # round to zero (posit: +0.0 for both signs; float: the sign is kept,
-        # so a negative underflow yields -0.0).  Probed with a magnitude
-        # deterministically below every mode's round-up region.
-        tiny = 0.25 * line_vals[1]
-        probe = np.asarray(ref.quantize(np.array([tiny, -tiny]), "nearest"))
-        val_out[0], val_out[self._L] = probe[0], probe[1]
-        self._val_out = val_out
-
-        specials = np.array([np.nan, np.inf, -np.inf])
-        codes = np.asarray(ref.to_bits(specials, "nearest"), dtype=np.int64)
-        self._code_nan, self._code_pinf, self._code_ninf = (
-            codes[0], codes[1], codes[2])
-        vals = np.asarray(ref.quantize(specials, "nearest"))
-        self._val_nan, self._val_pinf, self._val_ninf = vals[0], vals[1], vals[2]
-        zeros = np.asarray(ref.quantize(np.array([0.0, -0.0]), "nearest"))
-        self._val_pzero, self._val_nzero = zeros[0], zeros[1]
 
     def _self_check(self, line_vals: np.ndarray) -> None:
         # Round-toward-zero is exact on the tables iff every grid value maps

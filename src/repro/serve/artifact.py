@@ -100,6 +100,12 @@ _HEADER_LEN = len(MAGIC) + 1 + 4
 #: Manifest ``format`` value for raw little-endian float32 buffer tensors.
 RAW_FP32 = "raw_fp32"
 
+#: Values per ``to_bits`` call when a tensor is written, and per chunk a
+#: segment is read in and per ``from_bits`` call when it is loaded: bounds
+#: the codec's chunk and scratch at ~1.5 MB either way.  A multiple of 8,
+#: so every chunk of packed codes starts on a byte boundary.
+_DECODE_BLOCK = 1 << 16
+
 
 class ArtifactError(ValueError):
     """Raised for malformed, corrupted, or unsupported artifact files."""
@@ -201,6 +207,12 @@ def save_model(model: Module, path: Union[str, os.PathLike],
                version: Optional[int] = None) -> dict:
     """Write ``model`` to ``path`` as a packed artifact; returns the manifest.
 
+    Each parameter is scaled, encoded and packed :data:`_DECODE_BLOCK`
+    values at a time, with its checksum updated as it goes, so no whole
+    tensor's scaled copy or int64 codes are ever held.  The packed chunks
+    are kept until the manifest, which precedes them in the file, is
+    written, and are then written one by one, never joined.
+
     Parameters
     ----------
     model:
@@ -280,10 +292,18 @@ def save_model(model: Module, path: Union[str, os.PathLike],
             scale = compute_scale_factor(values, sigma=sigma)
         else:
             scale = 1.0
-        codes = tensor_fmt.to_bits(values / scale, mode=rounding)
-        packed = pack_codes(codes, tensor_fmt.bits)
+        digest = hashlib.sha256()
+        flat = values.reshape(-1)
+        nbytes = 0
+        for start in range(0, flat.size, _DECODE_BLOCK):
+            codes = tensor_fmt.to_bits(flat[start:start + _DECODE_BLOCK] / scale,
+                                       mode=rounding)
+            packed = pack_codes(codes, tensor_fmt.bits)
+            digest.update(packed)
+            chunks.append(packed)
+            nbytes += len(packed)
         expected = packed_nbytes(values.size, tensor_fmt.bits)
-        assert len(packed) == expected, (name, len(packed), expected)
+        assert nbytes == expected, (name, nbytes, expected)
         entry = {
             "name": name,
             "kind": "param",
@@ -292,13 +312,12 @@ def save_model(model: Module, path: Union[str, os.PathLike],
             "shape": list(values.shape),
             "scale": float(scale),
             "offset": offset,
-            "nbytes": len(packed),
+            "nbytes": nbytes,
         }
         if version >= 2:
-            entry["sha256"] = _blob_sha256(packed)
+            entry["sha256"] = digest.hexdigest()
         tensors.append(entry)
-        chunks.append(packed)
-        offset += len(packed)
+        offset += nbytes
     for name, buffer in model.named_buffers():
         raw = np.asarray(buffer, dtype="<f4").tobytes()
         entry = {
@@ -317,7 +336,6 @@ def save_model(model: Module, path: Union[str, os.PathLike],
         chunks.append(raw)
         offset += len(raw)
 
-    blob = b"".join(chunks)
     manifest = {
         "artifact": "repro.serve packed model",
         "version": version,
@@ -328,12 +346,15 @@ def save_model(model: Module, path: Union[str, os.PathLike],
         "use_scaling": bool(use_scaling),
         "sigma": int(sigma),
         "tensors": tensors,
-        "blob_nbytes": len(blob),
+        "blob_nbytes": offset,
         "fp32_state_nbytes": fp32_state_nbytes(model),
     }
     if version == 1:
         # v1 readers verify one monolithic digest; v2 verifies per segment.
-        manifest["blob_sha256"] = _blob_sha256(blob)
+        blob_digest = hashlib.sha256()
+        for chunk in chunks:
+            blob_digest.update(chunk)
+        manifest["blob_sha256"] = blob_digest.hexdigest()
     if model_info is not None:
         manifest["model"] = dict(model_info)
     if metadata is not None:
@@ -352,7 +373,7 @@ def save_model(model: Module, path: Union[str, os.PathLike],
         handle.write(struct.pack("<B", version))
         handle.write(struct.pack("<I", len(manifest_bytes)))
         handle.write(manifest_bytes)
-        handle.write(blob)
+        handle.writelines(chunks)
     return manifest
 
 
@@ -408,12 +429,6 @@ def _read_artifact(path: Union[str, os.PathLike]) -> tuple[dict, bytes]:
     if digest is not None and digest != _blob_sha256(blob):
         raise ArtifactError(f"{path}: blob checksum mismatch (corrupted weights)")
     return manifest, blob
-
-
-#: Values per chunk a segment is read in and per ``from_bits`` call: bounds
-#: the decode's chunk and scratch at ~1.5 MB.  A multiple of 8, so every
-#: chunk of packed codes starts on a byte boundary.
-_DECODE_BLOCK = 1 << 16
 
 
 def _entry_shape(entry: dict) -> tuple:

@@ -1,14 +1,17 @@
-"""Streaming-load tests: bounded peak memory and actionable truncation.
+"""Streaming tests: bounded peak memory and actionable truncation.
 
 The v2 artifact layout exists so that ``load_state`` can decode one
 checksummed segment at a time instead of materializing the whole packed
 blob: peak *additional* allocation (beyond the decoded state itself) must
 be bounded by the largest single tensor segment's decode footprint — the
 property that lets a large model load on a machine with little headroom.
-``tracemalloc`` sees NumPy's allocations, so the bound is measured, not
+``save_model`` writes the same way round: it encodes and packs a tensor a
+chunk at a time, so it never holds a whole tensor's scaled copy or codes.
+``tracemalloc`` sees NumPy's allocations, so the bounds are measured, not
 assumed.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -28,6 +31,8 @@ from repro.serve import (
     save_model,
     segment_table,
 )
+from repro.serve.artifact import _DECODE_BLOCK
+from repro.serve.packing import pack_codes
 
 #: Many same-sized segments, so whole-blob residency would dwarf any single
 #: segment: 64 hidden Linear layers of 128x128 @ fixed(16,13) pack ~32 KB
@@ -218,3 +223,53 @@ def test_load_model_footprint_in_a_fresh_process(tmp_path):
     assert ratio < 1.6, (
         f"load_model grew VmHWM by {row['growth']} bytes, {ratio:.2f}x the "
         f"{row['decoded']}-byte decoded state")
+
+
+# --------------------------------------------------------------------- #
+# Writing: one chunk of a tensor at a time
+# --------------------------------------------------------------------- #
+def test_save_holds_no_whole_tensor_copy(tmp_path):
+    """Saving the serve-bench MLP (a 2048x1024 layer) with its recorded
+    scales, as an export's final write does: a whole-tensor encode held the
+    scaled float64 copy and the int64 codes, 32 MiB for that layer alone."""
+    model = MLP(2, hidden=(2048, 1024), num_classes=3,
+                rng=np.random.default_rng(0))
+    first = save_model(model, tmp_path / "first.rpak")  # builds the codec too
+    scales = {entry["name"]: entry["scale"] for entry in first["tensors"]}
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        manifest = save_model(model, tmp_path / "m.rpak", scales=scales)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert manifest["tensors"] == first["tensors"]
+    # The packed blob (~2.1 MB) plus one chunk's codec scratch.
+    assert peak < 8 * 2**20, f"save_model peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("spec", ["posit(5,1)", "posit(8,1)", "posit(16,1)",
+                                  "fixed(16,13)", "posit(32,2)"])
+def test_chunked_encode_matches_a_whole_tensor_encode(tmp_path, spec, version):
+    """Segments and checksums equal a whole-tensor ``to_bits`` and pack, on a
+    tensor of more than one chunk that ends mid-chunk."""
+    model = MLP(3, hidden=(23339,), num_classes=3, rng=np.random.default_rng(2))
+    assert 3 * 23339 > _DECODE_BLOCK
+    path = tmp_path / "m.rpak"
+    manifest = save_model(model, path, fmt=spec, version=version)
+    fmt = parse_format(spec)
+    data = path.read_bytes()
+    blob = data[len(data) - manifest["blob_nbytes"]:]
+    params = dict(model.named_parameters())
+    for entry in manifest["tensors"]:
+        segment = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
+        if entry["kind"] == "param":
+            values = np.asarray(params[entry["name"]].data, dtype=np.float64)
+            codes = fmt.to_bits(values / entry["scale"], mode="nearest")
+            assert segment == pack_codes(codes, fmt.bits), entry["name"]
+        if version == 2:
+            assert entry["sha256"] == hashlib.sha256(segment).hexdigest()
+    if version == 1:
+        assert manifest["blob_sha256"] == hashlib.sha256(blob).hexdigest()
