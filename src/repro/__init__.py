@@ -48,7 +48,7 @@ top of self-contained substrates:
   (including energy/accuracy Pareto fronts).
 * :mod:`repro.serve` — the deployment subsystem: packed n-bit model
   artifacts (``save_model``/``load_model``), the micro-batching
-  :class:`~repro.serve.InferenceEngine`, the stdlib HTTP transport
+  :class:`~repro.serve.InferenceEngine`, the dependency-free HTTP transport
   (``/predict``, ``/healthz``, ``/stats``), sweep-winner export
   (``serve_best``), and the closed-loop load generator.
 * :mod:`repro.cli` — the ``repro`` command line (``python -m repro``):

@@ -23,8 +23,8 @@ in posit is *served* in posit.  Four layers, composable separately:
   dynamic micro-batching (coalesce up to ``max_batch`` requests, waiting
   at most ``max_wait_ms`` and only while company is likely) with
   per-request latency and hardware-model energy accounting.
-* :mod:`repro.serve.transport` — one stdlib JSON-over-HTTP server,
-  :class:`ModelServer` (``/predict``, ``/healthz``, ``/stats``,
+* :mod:`repro.serve.transport` — one JSON-over-HTTP server on plain
+  sockets, :class:`ModelServer` (``/predict``, ``/healthz``, ``/stats``,
   ``/metrics``, ``/traces``), over either backend: an engine (through the
   in-process :class:`LocalClient`) or a cluster as it is.  The cluster,
   :class:`LocalClient` and the urllib :class:`HTTPClient` share one client

@@ -1,8 +1,8 @@
 """Dependency-free JSON-over-HTTP transport for the serving backends.
 
-A thin stdlib (:mod:`http.server`) shell, no web framework, so the server
-runs anywhere the library does.  :class:`ModelServer` serves one backend
-that speaks the client contract below: a multi-worker
+A small HTTP/1.1 listener of its own on plain sockets, no web framework,
+so the server runs anywhere the library does.  :class:`ModelServer` serves
+one backend that speaks the client contract below: a multi-worker
 :class:`~repro.serve.cluster.ServeCluster` as it is, or one in-process
 :class:`~repro.serve.engine.InferenceEngine` through a :class:`LocalClient`.
 
@@ -24,17 +24,37 @@ The client contract is ``predict(samples, trace_id=None) -> dict``,
 :class:`LocalClient` speaks it in process, :class:`HTTPClient` over
 :mod:`urllib`, and :class:`~repro.serve.cluster.ServeCluster` directly, so
 tests and the load generator run against any of them unchanged.
+
+Thread model.  The listener owns the listening socket and a pool of
+threads.  Each pool thread blocks in ``accept()`` and serves the
+connection it gets until that connection closes; the last idle thread
+starts one more before it serves, so one thread always waits in
+``accept()``, and the pool holds at most the peak number of concurrent
+connections plus one.  Once the pool covers that peak, a request starts no
+thread and no thread hands a connection to another.  That matters because
+a client commonly opens one connection per request (:class:`HTTPClient`
+does), and a thread started for each, or an accept loop handing each to a
+waiting thread, costs the supervisor CPU and a wake-up on every request.
+Each request is parsed here, line by line, into a case-insensitive header
+mapping (at most 100 headers, 64 KiB a line), and each reply leaves in one
+send.  :meth:`ModelServer.stop` shuts the listening socket down, which
+wakes every blocked ``accept()`` at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+import socket
 import threading
+import time
+import traceback
 import urllib.error
 import urllib.request
 from concurrent.futures import TimeoutError as FuturesTimeout
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Optional, Sequence
 
 import numpy as np
@@ -192,49 +212,144 @@ class LocalClient:
                    "workers": 1})
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # Buffer each response and send it in one write when the request ends:
-    # sent as headers, then body, Nagle's algorithm holds a kept-alive
-    # connection's body until the client's delayed ACK, ~40 ms a request.
-    # TCP_NODELAY spares a reply longer than one segment the same wait.
-    wbufsize = -1
-    disable_nagle_algorithm = True
+#: Pending connections the kernel queues for the pool.  A backlog of 5
+#: drops connections the moment a few dozen closed-loop clients connect at
+#: once; size it for the concurrency the micro-batcher is built to absorb.
+_BACKLOG = 256
+#: Longest request or header line in bytes, and most header lines a request
+#: may carry: longer gets 414 (request line) or 431 (headers).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_VERSION = re.compile(rb"HTTP/(\d{1,10})\.(\d{1,10})")
+_END_OF_HEADERS = (b"\r\n", b"\n", b"")
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
-    def handle_expect_100(self) -> bool:
-        # The interim 100 Continue must leave now, not with the response:
-        # the client sends the body only after it arrives.
-        proceed = super().handle_expect_100()
-        self.wfile.flush()
-        return proceed
 
-    # Silence per-request stderr logging; stats live in /stats.
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
+class _Headers(dict):
+    """A request's header fields by lower-cased name; the first of a
+    repeated field wins."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+class _Handler:
+    """One client connection: parse each HTTP/1.1 request on it, dispatch
+    it, and send each reply in one write.
+
+    Sent as headers, then body, a reply on a kept-alive connection would
+    leave its body to Nagle's algorithm until the client's delayed ACK,
+    ~40 ms a request; TCP_NODELAY spares a reply longer than one segment
+    the same wait.
+    """
+
+    def __init__(self, connection: socket.socket, server: "_Server"):
+        self.connection = connection
+        self.server = server
+        self.owner = server.owner
+        self.rfile = connection.makefile("rb")
+        self.close_connection = False
+        self.released = False
+
+    def handle(self) -> None:
+        """Serve requests until the client or a reply closes the connection."""
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            while not self.close_connection:
+                self.handle_one_request()
+        finally:
+            self.rfile.close()
+
+    def release(self) -> None:
+        """Count the serving thread idle again, once per connection."""
+        if not self.released:
+            self.released = True
+            self.server.release()
+
+    def handle_one_request(self) -> None:
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            self.close_connection = True
+            return
+        if len(line) > _MAX_LINE:
+            self._refuse(414, "request line too long")
+            return
+        words = line.split()
+        version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
+        if version is None:
+            self._refuse(400, "bad request line "
+                         f"{line[:100].decode('iso-8859-1')!r}")
+            return
+        version = (int(version[1]), int(version[2]))
+        if version >= (2, 0):
+            self._refuse(505, "HTTP/2 and later are not supported")
+            return
+        headers = _Headers()
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self._refuse(431, "header line too long")
+                return
+            if line in _END_OF_HEADERS:
+                break
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if not colon:
+                self._refuse(400, f"malformed header line {name[:100]!r}")
+                return
+            headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            self._refuse(431, f"more than {_MAX_HEADERS} header lines")
+            return
+        connection = headers.get("Connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version < (1, 1) and connection != "keep-alive")
+        if (version >= (1, 1)
+                and headers.get("Expect", "").lower() == "100-continue"):
+            # The interim reply must leave now: the client sends the body
+            # only after it arrives.
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        method, self.path, self.headers = (
+            words[0], words[1].decode("iso-8859-1"), headers)
+        if method == b"GET":
+            self.do_GET()
+        elif method == b"POST":
+            self.do_POST()
+        else:
+            self._refuse(501, "unsupported method "
+                         f"{method[:100].decode('iso-8859-1')!r}")
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer a request this server cannot parse or serve, and close."""
+        self.close_connection = True
+        self._reply(status, {"error": message})
+
+    def _send(self, status: int, body: bytes, content_type: str,
+              headers: Optional[dict] = None) -> None:
+        head = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n",
+                self.server.date_line(),
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n"]
+        for name, value in (headers or {}).items():
+            if name.lower() == "connection":
+                self.close_connection |= value.lower() == "close"
+            else:
+                head.append(f"{name}: {value}\r\n")
+        if self.close_connection:
+            head.append("Connection: close\r\n")
+            # Idle before the last reply leaves: a client that gets it may
+            # connect again at once, and should find this thread free.
+            self.release()
+        head.append("\r\n")
+        self.connection.sendall("".join(head).encode("latin-1") + body)
 
     def _reply(self, status: int, payload: dict,
                headers: Optional[dict] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, json.dumps(payload).encode("utf-8"),
+                   "application/json", headers)
 
     def _reply_text(self, status: int, text: str,
                     content_type: str = "text/plain; version=0.0.4") -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    @property
-    def owner(self) -> "ModelServer":
-        return self.server.owner  # type: ignore[attr-defined]
+        self._send(status, text.encode("utf-8"), content_type)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib signature
         server = self.owner
@@ -308,12 +423,110 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(200, payload, headers=headers)
 
 
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    # The socketserver default backlog (5) drops connections the moment a
-    # few dozen closed-loop clients connect at once; size it for the
-    # concurrency the micro-batcher is built to absorb.
-    request_queue_size = 256
+class _Server:
+    """The listening socket and the pool of threads that accept on it, as
+    the module docstring's thread model describes.  The last thread to
+    leave the pool closes the socket, so no thread can call ``accept()`` on
+    a descriptor the process has since reused.
+    """
+
+    def __init__(self, address: tuple, owner: "ModelServer"):
+        self.owner = owner
+        self.socket = socket.create_server(address, backlog=_BACKLOG)
+        self.server_address = self.socket.getsockname()[:2]
+        self._lock = threading.Lock()
+        self._members = 0  # pool threads, serving or waiting in accept()
+        self._idle = 0  # of those, the ones not serving a connection
+        self._closed = False
+        self._date = (0, "")
+
+    def date_line(self) -> str:
+        """The ``Date`` header line, formatted once per second."""
+        now = int(time.time())
+        second, line = self._date
+        if second != now:
+            line = f"Date: {formatdate(now, usegmt=True)}\r\n"
+            self._date = (now, line)
+        return line
+
+    def start(self) -> None:
+        """Start the pool's first thread, unless it has one or is closed."""
+        with self._lock:
+            if self._members or self._closed:
+                return
+            self._members = self._idle = 1
+        self._spawn()
+
+    def serve(self) -> None:
+        """Serve on the calling thread, as one more pool member, until
+        :meth:`close` (or an exception such as ``KeyboardInterrupt``)."""
+        with self._lock:
+            if self._closed:
+                return
+            self._members += 1
+            self._idle += 1
+        self._run()
+
+    def close(self) -> None:
+        """Stop accepting: wake every thread blocked in ``accept()``.
+
+        A thread serving a connection leaves the pool once it closes."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            last = not self._members
+        # Closing a socket wakes no thread blocked in accept() on it;
+        # shutting it down does, and fails every later accept() at once.
+        self.socket.shutdown(socket.SHUT_RDWR)
+        if last:
+            self.socket.close()
+
+    def release(self) -> None:
+        """Count one serving thread idle again."""
+        with self._lock:
+            self._idle += 1
+
+    def _spawn(self) -> None:
+        threading.Thread(target=self._run, name="repro-serve-http",
+                         daemon=True).start()
+
+    def _run(self) -> None:
+        try:
+            while not self._closed:
+                try:
+                    connection, _ = self.socket.accept()
+                except OSError:  # shut down, or a connection aborted
+                    continue
+                with connection:
+                    self._serve(connection)
+        finally:
+            with self._lock:
+                self._members -= 1
+                self._idle -= 1
+                last = self._closed and not self._members
+            if last:
+                self.socket.close()
+
+    def _serve(self, connection: socket.socket) -> None:
+        with self._lock:
+            self._idle -= 1
+            grow = not self._idle and not self._closed
+            if grow:
+                self._members += 1
+                self._idle += 1
+        handler = _Handler(connection, self)
+        try:
+            if grow:
+                self._spawn()
+            handler.handle()
+        except OSError:
+            pass  # the client went away
+        except Exception:  # noqa: BLE001 - a failed request must not end
+            # the pool thread: report it and drop the connection.
+            traceback.print_exc()
+        finally:
+            handler.release()
 
 
 class ModelServer:
@@ -339,70 +552,43 @@ class ModelServer:
             backend = LocalClient(backend)
         self.backend = backend
         self.controller = controller
-        self._httpd = _Server((host, port), _Handler)
-        self._httpd.owner = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-        # "idle" -> "entered" -> "stopped".  ``shutdown()`` waits for a
-        # ``serve_forever`` to return, so ``stop()`` calls it only once a
-        # serve loop has been entered, and no loop is entered after it.
-        self._loop_lock = threading.Lock()
-        self._loop = "idle"
+        self._listener = _Server((host, port), self)
 
     @property
     def host(self) -> str:
-        return self._httpd.server_address[0]
+        return self._listener.server_address[0]
 
     @property
     def port(self) -> int:
-        return self._httpd.server_address[1]
+        return self._listener.server_address[1]
 
     @property
     def url(self) -> str:
         """Base URL clients should target."""
         return f"http://{self.host}:{self.port}"
 
-    def _enter_loop(self) -> bool:
-        """Whether a serve loop may start now (not once :meth:`stop` ran)."""
-        with self._loop_lock:
-            if self._loop == "stopped":
-                return False
-            self._loop = "entered"
-            return True
-
     def start(self) -> "ModelServer":
-        """Start the backend and serve requests on a background thread."""
+        """Start the backend and serve requests on background threads."""
         self.backend.start()
-        if (self._thread is None or not self._thread.is_alive()) and self._enter_loop():
-            self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                            name="repro-serve-http", daemon=True)
-            self._thread.start()
+        self._listener.start()
         return self
 
     def stop(self) -> None:
         """Stop accepting requests, then stop the backend.
 
-        Returns at once when no serve loop ran (``start()`` never called, or
-        its backend failed to start), and ends a blocking
-        :meth:`serve_forever` running on another thread.
+        Returns at once, whether or not a serve loop ran, and ends a
+        blocking :meth:`serve_forever` running on another thread.
         """
-        with self._loop_lock:
-            entered, self._loop = self._loop == "entered", "stopped"
-        if entered:
-            self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        self._thread = None
-        self._httpd.server_close()
+        self._listener.close()
         self.backend.stop()
 
     def serve_forever(self) -> None:
         """Blocking serve loop (the ``repro serve`` CLI path)."""
         self.backend.start()
         try:
-            if self._enter_loop():
-                self._httpd.serve_forever()
+            self._listener.serve()
         finally:
-            self._httpd.server_close()
+            self._listener.close()
             self.backend.stop()
 
     def __enter__(self) -> "ModelServer":
@@ -424,7 +610,9 @@ class HTTPClient:
         self.timeout = timeout
 
     def _request(self, path: str, payload: Optional[dict] = None,
-                 headers: Optional[dict] = None) -> dict:
+                 headers: Optional[dict] = None, decode=json.loads):
+        """The reply body through ``decode``; an HTTP error status raises
+        :class:`ServeClientError`."""
         url = f"{self.base_url}{path}"
         data = None if payload is None else json.dumps(payload).encode("utf-8")
         request_headers = dict(headers or {})
@@ -434,7 +622,7 @@ class HTTPClient:
                                          headers=request_headers)
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
+                return decode(response.read())
         except urllib.error.HTTPError as exc:
             try:
                 message = json.loads(exc.read()).get("error", "")
@@ -468,7 +656,4 @@ class HTTPClient:
         return self._request("/traces")
 
     def metrics(self) -> str:
-        url = f"{self.base_url}/metrics"
-        request = urllib.request.Request(url)
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            return response.read().decode("utf-8")
+        return self._request("/metrics", decode=bytes.decode)

@@ -3,13 +3,18 @@
 import http.client
 import json
 import os
+import re
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import Future, TimeoutError as FuturesTimeout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,7 @@ from repro.serve import (
 )
 from repro.sweeps import ResultStore
 
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(name="transport_test", dataset="blobs", model="mlp",
@@ -692,3 +698,204 @@ def test_local_client_statuses_and_passthrough(artifact, monkeypatch):
             client.predict([np.zeros(2)])
     finally:
         client.stop()
+
+
+# --------------------------------------------------------------------- #
+# The listener: protocol statuses, thread reuse, Ctrl-C
+# --------------------------------------------------------------------- #
+_PREDICT_BODY = b'{"inputs": [[0.0, 0.0]]}'
+_FILLER_HEADERS = b"".join(b"X-Filler-%d: 1\r\n" % i for i in range(100))
+
+
+def _read_status(sock: socket.socket) -> int:
+    if sock.recv(5, socket.MSG_PEEK | socket.MSG_WAITALL) != b"HTTP/":
+        # No status line: the stdlib handler answered a request line whose
+        # version it rejected as it would an HTTP/0.9 request, with a bare
+        # error page, and closed.
+        page = b""
+        while chunk := sock.recv(65536):
+            page += chunk
+        return int(re.search(rb"Error code: (\d+)", page)[1])
+    reply = http.client.HTTPResponse(sock)
+    reply.begin()
+    reply.read()
+    return reply.status
+
+
+def _exchange(server: ModelServer, request: bytes) -> tuple[int, bool]:
+    """Send raw request bytes; return the reply's status and whether the
+    server closed the connection after it (a follow-up request on the same
+    connection went unanswered)."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5) as sock:
+        sock.sendall(request)
+        status = _read_status(sock)
+        try:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            follow_up = http.client.HTTPResponse(sock)
+            follow_up.begin()
+            closed = follow_up.status != 200
+        except (OSError, http.client.HTTPException):
+            closed = True
+    return status, closed
+
+
+@pytest.mark.parametrize("request_bytes, status, closes", [
+    pytest.param(b"GET /healthz HTTP/1.1\r\nHost: test\r\n" + _FILLER_HEADERS
+                 + b"\r\n", 431, True, id="101-headers"),
+    pytest.param(b"GET /" + b"x" * 65536 + b" HTTP/1.1\r\n\r\n", 414, True,
+                 id="request-line-over-64KiB"),
+    pytest.param(b"GET /healthz HTTP/2.0\r\n\r\n", 505, True, id="http-2.0"),
+    pytest.param(b"PUT /predict HTTP/1.1\r\nHost: test\r\n\r\n", 501, True,
+                 id="put"),
+    pytest.param(b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                 b"content-length: %d\r\n\r\n%s"
+                 % (len(_PREDICT_BODY), _PREDICT_BODY), 200, False,
+                 id="lower-case-content-length"),
+    pytest.param(b"GET /healthz HTTP/1.0\r\n\r\n", 200, True,
+                 id="http-1.0-closes"),
+    pytest.param(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+                 200, False, id="http-1.0-keep-alive"),
+    pytest.param(b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                 b"Connection: close\r\n\r\n", 200, True,
+                 id="http-1.1-connection-close"),
+])
+def test_protocol_statuses_and_keep_alive(request_bytes, status, closes):
+    """The statuses and connection reuse the stdlib ``http.server`` handler
+    gave, pinned by status only: error bodies may differ."""
+    with ModelServer(_ScriptedBackend()) as server:
+        assert _exchange(server, request_bytes) == (status, closes)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return started
+
+
+def _all_exit(threads, seconds: float = 2.0) -> bool:
+    deadline = time.monotonic() + seconds
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    return not [thread for thread in threads if thread.is_alive()]
+
+
+def test_sequential_connections_reuse_listener_threads(started_threads):
+    """Every ``HTTPClient`` request opens a fresh connection; twenty of
+    them in a row start at most two threads, where a thread per connection
+    started twenty, and ``stop()`` ends every one of them."""
+    server = ModelServer(_ScriptedBackend()).start()
+    try:
+        client = HTTPClient(server.url, timeout=5.0)
+        for _ in range(20):
+            assert client.healthz() == {"status": "ok"}
+    finally:
+        server.stop()
+    assert 1 <= len(started_threads) <= 2
+    assert _all_exit(started_threads)
+
+
+def test_listener_pool_stays_bounded_under_concurrent_clients(
+        started_threads):
+    """More clients than cores, with a short switch interval: every request
+    is answered, the pool never outgrows peak concurrency plus one, and
+    ``stop()`` ends every pool thread, the last of which closes the
+    listening socket."""
+    clients, errors = 8, []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        server = ModelServer(_ScriptedBackend()).start()
+        try:
+            def hammer():
+                try:
+                    for _ in range(25):
+                        assert HTTPClient(server.url, timeout=5.0).healthz() \
+                            == {"status": "ok"}
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=hammer) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            assert _all_exit(threads, 60.0)
+        finally:
+            server.stop()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    pool = [thread for thread in started_threads
+            if thread.name == "repro-serve-http"]
+    assert 1 <= len(pool) <= clients + 1
+    assert _all_exit(pool)
+    assert server._listener.socket.fileno() == -1
+
+
+def test_http_client_metrics_maps_http_errors():
+    """``metrics()`` raised urllib's ``HTTPError`` where every other client
+    call raises ``ServeClientError``."""
+    with ModelServer(_ScriptedBackend()) as server:
+        with pytest.raises(ServeClientError) as excinfo:
+            HTTPClient(server.url + "/nope").metrics()
+    assert excinfo.value.status == 404
+    assert "unknown path" in excinfo.value.message
+
+
+def _process_alive(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+def test_cli_serve_exits_cleanly_on_sigint(artifact, tmp_path):
+    """Ctrl-C on ``repro serve --workers 2``: exit 0 and no worker left.
+    The main thread waits in ``accept()``, which the signal interrupts."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else []))}
+    log = tmp_path / "serve.log"
+    with open(log, "wb") as out:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", artifact, "--workers",
+             "2", "--no-control", "--port", str(port)],
+            env=env, stdout=out, stderr=subprocess.STDOUT)
+    try:
+        client = HTTPClient(f"http://127.0.0.1:{port}", timeout=5.0)
+        deadline = time.monotonic() + 60.0
+        while True:
+            assert process.poll() is None, log.read_text()
+            try:
+                health = client.healthz()
+            except (OSError, ServeClientError):
+                health = {}
+            if health.get("guardrail") == ["passed", "passed"]:
+                break
+            assert time.monotonic() < deadline, "repro serve never got ready"
+            time.sleep(0.1)
+        workers = [row["pid"] for row in client.stats()["per_worker"]]
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=20) == 0, log.read_text()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    assert len(workers) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(_process_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in workers if _process_alive(pid)]
+    assert "shutting down" in log.read_text()
