@@ -70,16 +70,21 @@ def evaluate_quantized(model: Module, loader: ArrayDataLoader, fmt: FormatLike,
                                 use_scaling=use_scaling)
     policy.attach(model)
     try:
-        model.train(False)
-        total, correct = 0, 0.0
-        with no_grad():
-            for inputs, labels in loader:
-                logits = model(Tensor(inputs))
-                correct += accuracy(logits, labels) * len(labels)
-                total += len(labels)
-        return correct / total if total else 0.0
+        return _accuracy(model, loader)
     finally:
         QuantizationPolicy.detach(model)
+
+
+def _accuracy(model: Module, loader: ArrayDataLoader) -> float:
+    """Eval-mode accuracy of ``model`` over ``loader`` (0.0 when it is empty)."""
+    model.train(False)
+    total, correct = 0, 0.0
+    with no_grad():
+        for inputs, labels in loader:
+            logits = model(Tensor(inputs))
+            correct += accuracy(logits, labels) * len(labels)
+            total += len(labels)
+    return correct / total if total else 0.0
 
 
 def inference_sweep(model: Module, loader: ArrayDataLoader,
@@ -101,14 +106,7 @@ def inference_sweep(model: Module, loader: ArrayDataLoader,
     for fmt in formats:
         fmt = _as_role_format(fmt)
         if fmt is None:
-            model.train(False)
-            total, correct = 0, 0.0
-            with no_grad():
-                for inputs, labels in loader:
-                    logits = model(Tensor(inputs))
-                    correct += accuracy(logits, labels) * len(labels)
-                    total += len(labels)
-            acc = correct / total if total else 0.0
+            acc = _accuracy(model, loader)
         else:
             acc = evaluate_quantized(model, loader, fmt, rounding=rounding,
                                      use_scaling=use_scaling)

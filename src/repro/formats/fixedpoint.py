@@ -26,10 +26,6 @@ import numpy as np
 
 from .base import NumberFormat
 
-# The kernels module imports this one and is still initializing when this
-# line runs: bind the module, and look ``codec_for`` up per call.
-from . import kernels as _kernels
-
 __all__ = [
     "FixedPointFormat",
     "fixed_point_quantize",
@@ -93,36 +89,15 @@ class FixedPointFormat(NumberFormat):
         """Canonical spec string, ``fixed(<word bits>,<fraction bits>)``."""
         return f"fixed({self.bits},{self.fraction_bits})"
 
-    def quantize(self, x, mode: str = "nearest",
-                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Snap ``x`` onto the fixed-point grid.
-
-        ``mode`` is ``"nearest"`` or ``"stochastic"``; ``"zero"`` (posit's
-        Algorithm 1 truncation) is accepted and mapped to ``"nearest"``, the
-        common hardware choice for fixed point.  Words of up to 16 bits
-        decode through a LUT (:mod:`repro.formats.kernels`); encode is the
-        module functions below.
-        """
-        return _kernels.codec_for(self).quantize(x, mode, rng)
-
-    def to_bits(self, x, mode: str = "nearest",
-                rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Quantize ``x`` and return two's-complement codes (``int64``)."""
-        return _kernels.codec_for(self).to_bits(x, mode, rng)
-
-    def from_bits(self, bits) -> np.ndarray:
-        """Decode two's-complement codes back to real values."""
-        return _kernels.codec_for(self).from_bits(bits)
-
 
 def fixed_point_quantize(x, fmt: FixedPointFormat, rounding: str = "nearest",
                          rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Snap ``x`` onto the fixed-point grid of ``fmt`` with saturation.
 
-    ``rounding`` is ``"nearest"`` (round half away from zero, the common
-    hardware choice) or ``"stochastic"`` (Gupta et al.'s method).  Inputs
-    are clipped to ``[min_value, max_value]`` before scaling, so ``±inf``
-    and huge magnitudes saturate without overflow; NaN stays NaN.
+    ``rounding`` is ``"nearest"`` (round half to even, as :func:`numpy.round`
+    does) or ``"stochastic"`` (Gupta et al.'s method).  Inputs are clipped
+    to ``[min_value, max_value]`` before scaling, so ``±inf`` and huge
+    magnitudes saturate without overflow; NaN stays NaN.
     """
     arr = np.clip(np.asarray(x, dtype=np.float64), fmt.min_value, fmt.max_value)
     scaled = arr / fmt.step

@@ -1,14 +1,15 @@
 """Vectorized codec kernels for every registry format.
 
-These kernels are the production codec.  Each format class's ``quantize`` /
-``to_bits`` / ``from_bits`` method is one call through :func:`codec_for`,
-which returns the format's cached kernel, or for a kernel-less format its
-:func:`reference_ops`; every quantizer handed out by
-:func:`repro.formats.get_quantizer` calls those methods.  Every kernel
-serves every rounding mode its family accepts, handing the modes and lanes
-it does not compute to its own reference ops, and the mode rules live only
-in :func:`reference_ops`: posit knows ``zero``/``nearest``/``stochastic``,
-float and fixed point round to nearest in every mode but ``stochastic``.
+These kernels are the production codec.  :class:`~repro.formats.NumberFormat`
+defines ``quantize`` / ``to_bits`` / ``from_bits`` once for every family,
+each as one call through :func:`codec_for`, which returns the format's
+cached kernel, or for a kernel-less format its :func:`reference_ops`;
+every quantizer handed out by :func:`repro.formats.get_quantizer` calls
+those methods.  Every kernel serves every rounding mode its family accepts,
+handing the modes and lanes it does not compute to its own reference ops,
+and the mode rules live only in :func:`reference_ops`: posit knows
+``zero``/``nearest``/``stochastic``, float and fixed point round to nearest
+in every mode but ``stochastic``.
 
 Formats with ``bits <= 16`` get a LUT kernel.  Two table-free "bitfield"
 kernels cover the wide registry formats (see :class:`_PositBitKernel` and

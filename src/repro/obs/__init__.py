@@ -17,10 +17,10 @@ Three layers, usable independently:
   (``X-Repro-Trace-Id``) and cluster worker pipes unchanged.
 * :mod:`repro.obs.profiler` — the codec hot-path profiler: per-format,
   per-op (``quantize`` / ``to_bits`` / ``from_bits``) call counts, element
-  counts, and cumulative nanoseconds, collected by instrumenting the
-  format classes' codec methods, which every quantizer calls.  Its
-  :func:`~repro.obs.profiler.format_table` is the per-format codec
-  scoreboard.
+  counts, and cumulative nanoseconds, collected by instrumenting the codec
+  methods of :class:`~repro.formats.NumberFormat`, which every quantizer
+  calls.  Its :func:`~repro.obs.profiler.format_table` is the per-format
+  codec scoreboard.
 * :mod:`repro.obs.export` — exporters: spans serialize to JSONL (one span
   per line, the ``repro trace`` CLI's interchange format) and to the
   Chrome trace-event format, which loads directly in Perfetto /

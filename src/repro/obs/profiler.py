@@ -2,11 +2,12 @@
 
 For each number format, how many times do we call ``quantize`` /
 ``to_bits`` / ``from_bits`` and how many nanoseconds do they cost?  While
-enabled, :class:`CodecProfiler` patches those three methods on the concrete
-format classes (posit, float, fixed point).  That one hook sees every codec
-call: the quantizers from :func:`repro.formats.get_quantizer` call the
-format methods, and so do the artifact save/load weight codec and the
-serving engine.  Each call is counted exactly once, including calls made
+enabled, :class:`CodecProfiler` patches those three methods on
+:class:`~repro.formats.NumberFormat`, which defines them once for every
+family (posit, float, fixed point).  That one hook sees every codec call:
+the quantizers from :func:`repro.formats.get_quantizer` call the format
+methods, and so do the artifact save/load weight codec and the serving
+engine.  Each call is counted exactly once, including calls made
 through quantizers that were built before profiling started.
 
 ``enable``/``disable`` are refcounted so nested scopes (a traced engine
@@ -23,6 +24,8 @@ import time
 from typing import Any, Dict, Optional
 
 import numpy as np
+
+from ..formats.base import NumberFormat
 
 __all__ = [
     "CodecProfiler",
@@ -45,7 +48,7 @@ class CodecProfiler:
         self._lock = threading.Lock()
         self._stats: Dict[tuple, Dict[str, int]] = {}
         self._refcount = 0
-        self._patched: list = []  # (cls, op, original) for restore
+        self._patched: list = []  # (op, original) for restore
         self._total_ns = 0
 
     # -- lifecycle --------------------------------------------------------
@@ -55,7 +58,7 @@ class CodecProfiler:
         return self._refcount > 0
 
     def enable(self) -> "CodecProfiler":
-        """Turn accounting on (refcounted); patches format classes once."""
+        """Turn accounting on (refcounted); patches the codec methods once."""
 
         with self._lock:
             self._refcount += 1
@@ -64,15 +67,15 @@ class CodecProfiler:
         return self
 
     def disable(self) -> None:
-        """Undo one :meth:`enable`; restores format classes at zero."""
+        """Undo one :meth:`enable`; restores the codec methods at zero."""
 
         with self._lock:
             if self._refcount == 0:
                 return
             self._refcount -= 1
             if self._refcount == 0:
-                for cls, op, original in self._patched:
-                    setattr(cls, op, original)
+                for op, original in self._patched:
+                    setattr(NumberFormat, op, original)
                 self._patched.clear()
 
     def __enter__(self) -> "CodecProfiler":
@@ -145,23 +148,16 @@ class CodecProfiler:
         lines.insert(1, "  ".join("-" * w for w in widths))
         return "\n".join(lines)
 
-    # -- format-class patching -------------------------------------------
+    # -- codec-method patching --------------------------------------------
 
     def _patch_formats(self) -> None:
-        # Caller holds the lock.  Imported here (not at module top) so the
-        # obs package never participates in formats' import cycle.
-        from repro.formats.fixedpoint import FixedPointFormat
-        from repro.posit.config import PositConfig
-        from repro.posit.floatformats import FloatFormat
-
-        for cls in (PositConfig, FloatFormat, FixedPointFormat):
-            for op in OPS:
-                original = cls.__dict__.get(op)
-                if original is None or getattr(original, "_repro_profiled", False):
-                    continue
-                wrapper = _profiled_method(self, op, original)
-                setattr(cls, op, wrapper)
-                self._patched.append((cls, op, original))
+        # Caller holds the lock.
+        for op in OPS:
+            original = NumberFormat.__dict__[op]
+            if getattr(original, "_repro_profiled", False):
+                continue
+            setattr(NumberFormat, op, _profiled_method(self, op, original))
+            self._patched.append((op, original))
 
 
 def _profiled_method(prof: CodecProfiler, op: str, original):

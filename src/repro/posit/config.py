@@ -21,17 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
-import numpy as np
-
-# The kernels module imports this one and is still initializing when this
-# line runs: bind the module, and look ``codec_for`` up per call.
-from ..formats import kernels as _kernels
+from ..formats.base import NumberFormat
 
 
 @dataclass(frozen=True, order=True)
-class PositConfig:
+class PositConfig(NumberFormat):
     """Immutable description of an ``(n, es)`` posit format.
 
     Parameters
@@ -120,10 +115,8 @@ class PositConfig:
         return (self.n, self.es)
 
     # ------------------------------------------------------------------ #
-    # NumberFormat protocol surface (see repro.formats).  Each codec method
-    # is one call to the codec that repro.formats.kernels.codec_for picks
-    # for this format; that package imports this module, so the methods
-    # resolve it lazily at call time.
+    # NumberFormat surface (see repro.formats.base, which also supplies the
+    # codec methods).
     # ------------------------------------------------------------------ #
     @property
     def bits(self) -> int:
@@ -138,26 +131,6 @@ class PositConfig:
     def spec(self) -> str:
         """Canonical registry spec string; identical to :attr:`name`."""
         return f"posit({self.n},{self.es})"
-
-    def quantize(self, x, mode: str = "zero",
-                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Snap ``x`` onto this posit grid (Algorithm 1 when ``mode="zero"``).
-
-        Served by a codec kernel (:mod:`repro.formats.kernels`): a LUT for
-        ``n <= 16``, the float64 bit fields up to ``n = 32`` (stochastic
-        rounding there goes to the module function).  Wider formats use the
-        vectorized functions of :mod:`repro.posit.quantize`.
-        """
-        return _kernels.codec_for(self).quantize(x, mode, rng)
-
-    def to_bits(self, x, mode: str = "zero",
-                rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Quantize ``x`` and return posit bit patterns (``int64``)."""
-        return _kernels.codec_for(self).to_bits(x, mode, rng)
-
-    def from_bits(self, bits) -> np.ndarray:
-        """Decode posit bit patterns back to real values."""
-        return _kernels.codec_for(self).from_bits(bits)
 
 
 @lru_cache(maxsize=None)

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The kernels module imports this one and is still initializing when this
-# line runs: bind the module, and look ``codec_for`` up per call.
-from ..formats import kernels as _kernels
+from ..formats.base import NumberFormat
 
 __all__ = [
     "FloatFormat",
@@ -36,7 +34,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FloatFormat:
+class FloatFormat(NumberFormat):
     """Description of a binary floating-point format.
 
     Attributes
@@ -98,7 +96,8 @@ class FloatFormat:
         return self.name or f"fp{self.bits}(e{self.exponent_bits}m{self.mantissa_bits})"
 
     # ------------------------------------------------------------------ #
-    # NumberFormat protocol surface (see repro.formats).
+    # NumberFormat surface (see repro.formats.base, which also supplies the
+    # codec methods).
     # ------------------------------------------------------------------ #
     @property
     def code_count(self) -> int:
@@ -132,28 +131,6 @@ class FloatFormat:
         if canonical is not None:
             return canonical
         return f"float({self.exponent_bits},{self.mantissa_bits})"
-
-    def quantize(self, x, mode: str = "nearest",
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Snap ``x`` onto this float grid.
-
-        ``mode`` is ``"nearest"`` or ``"stochastic"``; posit's ``"zero"``
-        mode is accepted and mapped to ``"nearest"`` (the convention the
-        policy layer has always used for float baselines).  Formats of up
-        to 16 bits are served by a LUT kernel and the binary32 layout by a
-        float32-cast kernel (:mod:`repro.formats.kernels`); other wide
-        formats by the module functions.
-        """
-        return _kernels.codec_for(self).quantize(x, mode, rng)
-
-    def to_bits(self, x, mode: str = "nearest",
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        """Quantize ``x`` and return sign/exponent/mantissa bit patterns."""
-        return _kernels.codec_for(self).to_bits(x, mode, rng)
-
-    def from_bits(self, bits) -> np.ndarray:
-        """Decode sign/exponent/mantissa bit patterns to real values."""
-        return _kernels.codec_for(self).from_bits(bits)
 
 
 #: Standard formats referenced by the paper and its baselines.

@@ -59,7 +59,7 @@ from typing import Iterator, Mapping, Optional, Union
 import numpy as np
 
 from ..core.scaling import compute_scale_factor
-from ..formats import NumberFormat, parse_format
+from ..formats import NumberFormat, as_format, parse_format
 from ..nn import Module
 from .packing import pack_codes, packed_nbytes, unpack_codes
 
@@ -126,13 +126,6 @@ def _blob_sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _as_format(fmt: Union[NumberFormat, str]) -> NumberFormat:
-    fmt = parse_format(fmt) if isinstance(fmt, str) else fmt
-    if not isinstance(fmt, NumberFormat):
-        raise TypeError(f"expected a NumberFormat or spec string, got {fmt!r}")
-    return fmt
-
-
 def resolve_format_map(names, default: Union[NumberFormat, str, None],
                        format_map: Optional[Mapping] = None,
                        ) -> "dict[str, NumberFormat]":
@@ -149,12 +142,12 @@ def resolve_format_map(names, default: Union[NumberFormat, str, None],
     ignored override is a typo shipping the wrong precision.
     """
     names = list(names)
-    default = _as_format(default) if default is not None else None
+    default = as_format(default, allow_none=True)
     if not format_map:
         if default is None:
             return {}
         return {name: default for name in names}
-    entries = [(key, _as_format(value)) for key, value in format_map.items()]
+    entries = [(key, as_format(value)) for key, value in format_map.items()]
     exact = {key: fmt for key, fmt in entries}
     resolved: dict[str, NumberFormat] = {}
     used: set = set()
@@ -276,7 +269,7 @@ def save_model(model: Module, path: Union[str, os.PathLike],
         raise ValueError(
             "artifact v1 packs every tensor in one uniform format; "
             "per-tensor format_map requires version 2")
-    default_fmt = _as_format(fmt)
+    default_fmt = as_format(fmt)
     param_names = [name for name, _ in model.named_parameters()]
     formats = resolve_format_map(param_names, default_fmt, format_map)
 

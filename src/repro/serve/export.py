@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.policy import QuantizationPolicy, RoleFormats
 from ..core.scaling import ScaleEstimator
-from ..formats import NumberFormat, parse_format
+from ..formats import NumberFormat, as_format
 from ..sweeps.store import STATUS_OK, ResultStore
 from ..tensor import Tensor, no_grad
 from .artifact import save_model
@@ -102,7 +102,7 @@ def calibrate_activation_centers(model, fmt: Union[NumberFormat, str], loader,
     dynamically computed Eq. (2) scale would make predictions depend on
     which micro-batch a request landed in.
     """
-    fmt = parse_format(fmt) if isinstance(fmt, str) else fmt
+    fmt = as_format(fmt)
     formats = RoleFormats(weight=None, activation=fmt)
     policy = QuantizationPolicy(conv_formats=formats, bn_formats=formats,
                                 linear_formats=formats, rounding=rounding,
@@ -210,7 +210,7 @@ def _tensor_format_specs(experiment, fmt, format_map) -> dict[str, str]:
 
     names = [name for name, _ in experiment.model.named_parameters()]
     base = default_export_format(experiment.policy) if fmt is None else fmt
-    base_spec = (parse_format(base) if isinstance(base, str) else base).spec()
+    base_spec = as_format(base).spec()
     specs = {name: base_spec for name in names}
     if fmt is None:
         policy_map = default_export_format_map(experiment.policy,
@@ -252,10 +252,8 @@ def export_experiment(experiment, path: Union[str, os.PathLike],
     per-tensor scales, so the packed weights are byte-identical between
     the passes.  Returns the manifest.
     """
-    if fmt is None:
-        base_fmt = parse_format(default_export_format(experiment.policy))
-    else:
-        base_fmt = parse_format(fmt) if isinstance(fmt, str) else fmt
+    base_fmt = as_format(default_export_format(experiment.policy)
+                         if fmt is None else fmt)
     tensor_specs = _tensor_format_specs(experiment, fmt, format_map)
     extra = {"experiment": experiment.config.name,
              "formats": experiment.format_specs()}

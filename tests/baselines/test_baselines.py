@@ -43,6 +43,10 @@ class TestFixedPointQuantize:
         fmt = FixedPointFormat(3, 2)  # step 0.25
         assert fixed_point_quantize(0.3, fmt) == pytest.approx(0.25)
         assert fixed_point_quantize(0.4, fmt) == pytest.approx(0.5)
+        # Ties round half to even (np.round), not half away from zero.
+        ties = np.array([0.125, 0.625, -0.625])
+        np.testing.assert_array_equal(fmt.quantize(ties), [0.0, 0.5, -0.5])
+        np.testing.assert_array_equal(fmt.to_bits(ties), [0, 2, 62])
 
     def test_saturation(self):
         fmt = FixedPointFormat(2, 4)

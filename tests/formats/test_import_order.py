@@ -1,12 +1,12 @@
 """Every entry module imports cleanly and quantizes in a fresh interpreter.
 
-``PositConfig``, ``FloatFormat`` and ``FixedPointFormat`` reach their codec
-through the :mod:`repro.formats.kernels` module bound at import time, while
-that module imports all three format classes.  Which of them starts the
-import decides whether the cycle resolves, and an interpreter that has
-already imported the package cannot show it: each case here starts a new
-one, imports its entry module first, then quantizes one value in each of
-the three families.
+``PositConfig``, ``FloatFormat`` and ``FixedPointFormat`` subclass
+``NumberFormat``, whose module binds :mod:`repro.formats.kernels` for the
+codec methods below the class body, while the kernels module imports all
+three format classes.  Which of them starts the import decides whether the
+cycle resolves, and an interpreter that has already imported the package
+cannot show it: each case here starts a new one, imports its entry module
+first, then quantizes one value in each of the three families.
 """
 
 import json

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.formats import FixedPointFormat, NumberFormat, get_quantizer
+from repro.formats import (
+    FixedPointFormat,
+    NumberFormat,
+    get_quantizer,
+    parse_format,
+    reference_ops,
+)
 from repro.posit import (
     FP8_E4M3,
     FP16,
@@ -64,6 +70,40 @@ class TestProtocolSurface:
 
     def test_quantizer_exposes_format(self, fmt):
         assert get_quantizer(fmt).format == fmt
+
+
+class TestOneCodecEntryPoint:
+    """``NumberFormat`` defines the codec methods once, for every family."""
+
+    @pytest.mark.parametrize("cls", [PositConfig, FloatFormat, FixedPointFormat])
+    def test_families_inherit_the_codec_methods(self, cls):
+        assert NumberFormat in cls.__mro__
+        assert not {"quantize", "to_bits", "from_bits"} & set(vars(cls))
+
+    def test_families_supply_the_rest(self):
+        assert NumberFormat.__abstractmethods__ == {"spec", "bits", "maxpos", "minpos"}
+
+    @pytest.mark.parametrize("spec,mode", [
+        ("posit(8,1)", "zero"),
+        ("fp16", "nearest"),
+        ("fixed(16,13)", "nearest"),
+        ("posit(32,2)", "zero"),
+        ("fp32", "nearest"),
+    ])
+    def test_default_mode_is_each_familys_own(self, spec, mode, rng):
+        """The one default is Algorithm 1 for posit, round-to-nearest else."""
+        fmt = parse_format(spec)
+        codes = rng.integers(0, (1 << fmt.bits) - 1, 256)
+        ties = (fmt.from_bits(codes) + fmt.from_bits(codes + 1)) / 2
+        values = np.concatenate([
+            rng.standard_normal(512) * 10.0 ** rng.uniform(-8, 8, 512),
+            ties, -ties, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        ref = reference_ops(fmt)
+        for op in ("quantize", "to_bits"):
+            got = np.asarray(getattr(fmt, op)(values))
+            want = np.asarray(getattr(ref, op)(values, mode))
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestBitCodecs:

@@ -9,7 +9,7 @@ format classes (posit / float / fixed) directly and through quantizers.
 import numpy as np
 import pytest
 
-from repro.formats import get_quantizer, parse_format
+from repro.formats import NumberFormat, get_quantizer, parse_format
 from repro.obs import CodecProfiler, profiler
 from repro.obs.profiler import OPS
 
@@ -46,17 +46,17 @@ class TestLifecycle:
         assert prof.active is False
 
     def test_patch_is_reversible(self, prof, fmt):
-        original = type(fmt).__dict__["to_bits"]
+        original = NumberFormat.__dict__["to_bits"]
         with prof:
-            assert type(fmt).__dict__["to_bits"] is not original
+            assert NumberFormat.__dict__["to_bits"] is not original
             assert getattr(type(fmt).to_bits, "_repro_profiled", False)
-        assert type(fmt).__dict__["to_bits"] is original
+        assert NumberFormat.__dict__["to_bits"] is original
 
     def test_nested_enable_patches_once(self, prof, fmt):
         with prof:
-            patched = type(fmt).__dict__["to_bits"]
+            patched = NumberFormat.__dict__["to_bits"]
             with prof:
-                assert type(fmt).__dict__["to_bits"] is patched
+                assert NumberFormat.__dict__["to_bits"] is patched
 
 
 class TestFormatClassHook:

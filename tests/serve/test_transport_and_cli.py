@@ -113,6 +113,7 @@ def test_malformed_request_is_400(server):
     with pytest.raises(urllib.error.HTTPError) as http_error:
         urllib.request.urlopen(request, timeout=10)
     assert http_error.value.code == 400
+    http_error.value.close()
 
 
 def test_unknown_path_is_404(server):
